@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,8 +74,8 @@ SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 
 _ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
 _NETWORK_KEYS = {"file", "n_households", "n_firms", "invest_spread", "labor_spread", "seed"}
-_SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed", "noise_model",
-                    "scheme", "labor_deterministic", "initial", "initial_spread"}
+_SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed", "scheme",
+                    "labor_deterministic", "initial", "initial_spread"}
 
 
 def _float(section, key, raw, default=None):
@@ -236,7 +236,6 @@ def _parse_simulation(raw) -> tuple[SimulationConfig, str | float, float]:
         burn_in=_float("simulation", "burn_in", raw, 0.0),
         record_every=_float("simulation", "record_every", raw, 1.0),
         seed=_int("simulation", "seed", raw, 0),
-        noise_model=raw.get("noise_model", "firm_shocks").strip(),
         scheme=raw.get("scheme", "milstein").strip(),
         labor_deterministic=_bool("simulation", "labor_deterministic", raw),
     )
@@ -301,10 +300,7 @@ def _apply_scenario_constraints(scenario, network_spec, sim: SimulationConfig,
             raise ConfigError(
                 "StaggeredWages means deterministic labor income;"
                 " remove labor_deterministic = false")
-        sim = SimulationConfig(dt=sim.dt, t_end=sim.t_end, burn_in=sim.burn_in,
-                               record_every=sim.record_every, seed=sim.seed,
-                               noise_model=sim.noise_model, scheme=sim.scheme,
-                               labor_deterministic=True)
+        sim = replace(sim, labor_deterministic=True)
     return network_spec, sim
 
 

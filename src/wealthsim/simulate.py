@@ -41,8 +41,6 @@ __all__ = [
     "analytic_noise_covariance",
 ]
 
-FIRM_SHOCKS = "firm_shocks"
-DIRECT_COVARIANCE = "direct_covariance"
 MILSTEIN = "milstein"
 EULER = "euler_maruyama"
 
@@ -60,7 +58,6 @@ class SimulationConfig:
     burn_in: float = 0.0
     record_every: float = 1.0
     seed: int = 0
-    noise_model: str = FIRM_SHOCKS
     scheme: str = MILSTEIN
     labor_deterministic: bool = False
 
@@ -72,8 +69,6 @@ class SimulationConfig:
                 f"need 0 <= burn_in < t_end, got burn_in={self.burn_in} t_end={self.t_end}")
         if not self.record_every > 0.0:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
-        if self.noise_model not in (FIRM_SHOCKS, DIRECT_COVARIANCE):
-            raise ConfigError(f"unknown noise model {self.noise_model!r}")
         if self.scheme not in (MILSTEIN, EULER):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -130,12 +125,13 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
-def sample_firm_shocks(n_firms: int, params: EconomyParams, dt: float,
+def sample_firm_shocks(n_firms: int | tuple[int, int], params: EconomyParams, dt: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Realized production per unit input for each firm over one step.
 
     Mean ``a * dt``, variance ``a**2 * delta * dt``, independent across
     firms and steps.  With ``delta = 0`` the draw is exactly the mean.
+    ``n_firms`` may also be a shape ``(K, F)`` for K draws at once.
     """
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -145,62 +141,63 @@ def sample_firm_shocks(n_firms: int, params: EconomyParams, dt: float,
     return mean + params.a * math.sqrt(params.delta * dt) * rng.standard_normal(n_firms)
 
 
+def _firm_flow(alloc, spread, shocks):
+    """``alloc @ shock`` per household for a draw ``(F,)`` or a block ``(K, F)``.
+
+    Rows spread evenly over every firm all see the firm mean, which
+    costs O(F) instead of O(N*F).
+    """
+    n, f = alloc.shape
+    if spread == f:
+        return np.broadcast_to(shocks.mean(axis=-1)[..., None], shocks.shape[:-1] + (n,))
+    return (alloc @ shocks.T).T
+
+
 def _firm_shock_increment(p, params, net, gval, gslope, lam, shocks, dt,
-                          labor_deterministic, l_firm):
+                          labor_deterministic):
     """One-step wealth change given realized firm shocks.
 
     Factor payments scale with the realized shock of each firm a
     household is exposed to; taxes apply to realized incomes and the
-    proceeds return as an equal per-household transfer.
+    proceeds return as an equal per-household transfer.  ``shocks`` is
+    one draw ``(F,)`` or a block ``(K, F)`` of draws at the same state;
+    the result is ``(N,)`` or ``(K, N)``.
     """
-    n, f = net.n_households, net.n_firms
+    n = net.n_households
     wage_unit = gval - lam * gslope
-    mean_flow = params.a * dt
-    uniform_invest = net.invest_spread == f
-    uniform_labor = net.labor_spread == f
-
-    if shocks is None:
-        cap_in = gslope * p * mean_flow
-        lab_in = wage_unit * mean_flow
-        pool = (params.tau_k * gslope * p.sum()
-                + params.tau_l * wage_unit * n) * mean_flow
+    cap_flow = _firm_flow(net.invest, net.invest_spread, shocks)
+    if labor_deterministic:
+        lab_flow = params.a * dt
+        lab_total = n * lab_flow
     else:
-        shock_mean = shocks.mean()
-        cap_flow = shock_mean if uniform_invest else net.invest @ shocks
-        cap_in = gslope * p * cap_flow
-        if labor_deterministic:
-            lab_in = wage_unit * mean_flow
-            lab_pool = params.tau_l * wage_unit * n * mean_flow
-        else:
-            lab_flow = shock_mean if uniform_labor else net.labor @ shocks
-            lab_in = wage_unit * lab_flow
-            lab_pool = params.tau_l * wage_unit * (
-                n * shock_mean if uniform_labor else l_firm @ shocks)
-        cap_pool = params.tau_k * gslope * (
-            p.sum() * shock_mean if uniform_invest else (net.invest.T @ p) @ shocks)
-        pool = cap_pool + lab_pool
-
-    return (params.s * ((1.0 - params.tau_k) * cap_in
-                        + (1.0 - params.tau_l) * lab_in + pool / n)
+        lab_flow = _firm_flow(net.labor, net.labor_spread, shocks)
+        lab_total = lab_flow.sum(axis=-1)
+    # taxed capital income sums to p @ (invest @ shocks), taxed wages to
+    # the labor-weighted firm shocks; the pool is shared equally
+    pool = params.tau_k * gslope * (cap_flow @ p) + params.tau_l * wage_unit * lab_total
+    return (params.s * ((1.0 - params.tau_k) * gslope * p * cap_flow
+                        + (1.0 - params.tau_l) * wage_unit * lab_flow
+                        + (pool / n)[..., None])
             - (params.chi + params.nu * p) * dt)
 
 
 def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
                   pf: ProductionFunction, shocks, dt: float,
                   labor_deterministic: bool = False) -> np.ndarray:
-    """Advance absolute wealth by one step under given firm shocks."""
+    """Advance absolute wealth by one step under given firm shocks.
+
+    ``shocks=None`` applies the mean flow ``a * dt`` at every firm.
+    """
     p = np.asarray(state, dtype=float)
     if p.shape != (net.n_households,):
         raise DomainError(f"state must have length {net.n_households}")
     lam = p.mean()
     if not lam > 0.0:
         raise PriceUndefinedError(f"mean wealth {lam} is not positive")
-    gval = pf.value(lam)
-    gslope = pf.derivative(lam)
-    l_firm = net.firm_labor()
-    return p + _firm_shock_increment(p, params, net, gval, gslope, lam,
-                                     None if shocks is None else np.asarray(shocks, float),
-                                     dt, labor_deterministic, l_firm)
+    shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
+        else np.asarray(shocks, dtype=float)
+    return p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
+                                     lam, shocks, dt, labor_deterministic)
 
 
 def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -212,7 +209,9 @@ def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     and labor exposures, the covariance of each household's income with
     the common redistribution transfer, and the variance of the transfer
     itself.  With deterministic labor income only the capital channels
-    remain.
+    remain.  The increment is linear in the Gaussian firm shocks, so at
+    a frozen state it is exactly Gaussian with this covariance times dt;
+    ``empirical_noise_covariance`` samples it through the stepping kernel.
     """
     p = np.asarray(wealth, dtype=float)
     n = net.n_households
@@ -261,38 +260,14 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
         raise PriceUndefinedError(f"mean wealth {lam} is not positive")
     gval = pf.value(lam)
     gslope = pf.derivative(lam)
-    wage_unit = gval - lam * gslope
-    l_firm = net.firm_labor()
-    k = net.firm_capital(p)
-    mean_flow = params.a * dt
 
     increments = np.empty((n_samples, n))
     chunk = max(1, (1 << 22) // max(f, 1))
-    start = 0
-    block = 0
-    while start < n_samples:
+    for block, start in enumerate(range(0, n_samples, chunk)):
         stop = min(start + chunk, n_samples)
-        gen = _stream(seed, block)
-        if params.delta == 0.0:
-            shocks = np.full((stop - start, f), mean_flow)
-        else:
-            shocks = mean_flow + params.a * math.sqrt(params.delta * dt) \
-                * gen.standard_normal((stop - start, f))
-        cap_flow = (net.invest @ shocks.T).T
-        cap_in = gslope * p[None, :] * cap_flow
-        if labor_deterministic:
-            lab_in = wage_unit * mean_flow
-            lab_pool = params.tau_l * wage_unit * n * mean_flow
-        else:
-            lab_in = wage_unit * (net.labor @ shocks.T).T
-            lab_pool = params.tau_l * wage_unit * (shocks @ l_firm)[:, None]
-        cap_pool = params.tau_k * gslope * (shocks @ k)[:, None]
-        increments[start:stop] = (params.s * ((1.0 - params.tau_k) * cap_in
-                                              + (1.0 - params.tau_l) * lab_in
-                                              + (cap_pool + lab_pool) / n)
-                                  - (params.chi + params.nu * p)[None, :] * dt)
-        start = stop
-        block += 1
+        shocks = sample_firm_shocks((stop - start, f), params, dt, _stream(seed, block))
+        increments[start:stop] = _firm_shock_increment(p, params, net, gval, gslope, lam,
+                                                       shocks, dt, labor_deterministic)
 
     empirical = np.cov(increments, rowvar=False) / dt
     analytic = analytic_noise_covariance(params, net, pf, p,
@@ -334,8 +309,6 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
             f"{params.s * (1.0 - params.tau_k) * rho0 * config.dt:.3g} >= 0.1")
 
     steps_total, burn_steps, rec_steps = config.step_counts()
-    l_firm = net.firm_labor()
-    direct = config.noise_model == DIRECT_COVARIANCE
     times, snaps = [], []
     if burn_steps == 0:
         times.append(0.0)
@@ -346,26 +319,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
         if not lam > 0.0:
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
-        gval = pf.value(lam)
-        gslope = pf.derivative(lam)
-        gen = _stream(config.seed, step)
-        if direct:
-            rho = params.a * gslope
-            omega = params.a * (gval - lam * gslope)
-            drift = (params.s * ((1.0 - params.tau_k) * rho * p
-                                 + (1.0 - params.tau_l) * omega
-                                 + params.tau_k * rho * lam + params.tau_l * omega)
-                     - params.chi - params.nu * p)
-            cov = analytic_noise_covariance(params, net, pf, p,
-                                            labor_deterministic=config.labor_deterministic)
-            vals, vecs = np.linalg.eigh(cov)
-            root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-            p = p + drift * config.dt + math.sqrt(config.dt) * (root @ gen.standard_normal(n))
-        else:
-            shocks = sample_firm_shocks(f, params, config.dt, gen) \
-                if params.delta > 0.0 else None
-            p = p + _firm_shock_increment(p, params, net, gval, gslope, lam, shocks,
-                                          config.dt, config.labor_deterministic, l_firm)
+        shocks = sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
+        p = p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
+                                      lam, shocks, config.dt, config.labor_deterministic)
         if not np.all(np.isfinite(p)):
             raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
         if step >= burn_steps and (step - burn_steps) % rec_steps == 0:

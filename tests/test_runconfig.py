@@ -164,6 +164,9 @@ def test_unknown_keys_and_sections(tmp_path):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, MINIMAL + "\n[simulation]\ntimestep = 0.1\n")
     assert "timestep" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, MINIMAL + "\n[simulation]\nnoise_model = direct_covariance\n")
+    assert "noise_model" in str(err.value)
 
 
 def test_scenario_pins_network_spreads(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import P_BAR_STAR, RHO_INF
 from wealthsim import (
+    AllocationNetwork,
     EconomyParams,
     CES,
     CobbDouglas,
@@ -27,8 +28,8 @@ from wealthsim.errors import (
     PriceUndefinedError,
 )
 from wealthsim.simulate import (
-    DIRECT_COVARIANCE,
     EULER,
+    _firm_shock_increment,
     _stream,
     analytic_noise_covariance,
     empirical_noise_covariance,
@@ -52,8 +53,6 @@ def test_config_validation():
         SimulationConfig(dt=0.5, t_end=10.3)
     with pytest.raises(ConfigError):
         SimulationConfig(dt=0.5, t_end=10.0, scheme="heun")
-    with pytest.raises(ConfigError):
-        SimulationConfig(dt=0.5, t_end=10.0, noise_model="antithetic")
     with pytest.raises(ConfigError):
         SimulationConfig(dt=0.5, t_end=10.0, seed=-1)
 
@@ -127,6 +126,23 @@ def test_single_household_tax_wash_property():
         assert out[0] == pytest.approx(expected, rel=1e-13)
 
 
+def test_deterministic_labor_step_by_hand():
+    # two households on one firm: capital earns the realized dA, wages the
+    # mean flow a*dt, and both tax takes come back split in half
+    params = EconomyParams(s=0.5, tau_k=0.1, tau_l=0.2, chi=0.01, nu=0.05,
+                           a=1.0, delta=1.0)
+    net = build_regular(2, 1, 1, 1, seed=0)
+    pf = CobbDouglas(0.3)
+    p, dA, dt = np.array([1.0, 3.0]), 0.13, 0.1
+    lam = p.mean()
+    slope, wage = pf.derivative(lam), pf.value(lam) - lam * pf.derivative(lam)
+    transfer = (0.1 * slope * p.sum() * dA + 0.2 * wage * 2 * dt) / 2
+    expected = p + 0.5 * (0.9 * slope * p * dA + 0.8 * wage * dt + transfer) \
+        - (0.01 + 0.05 * p) * dt
+    out = step_absolute(p, params, net, pf, [dA], dt, labor_deterministic=True)
+    np.testing.assert_allclose(out, expected, rtol=1e-14)
+
+
 def test_step_rejects_bad_state():
     params = EconomyParams(s=0.2, nu=0.05, delta=1.0)
     net = build_regular(4, 2, 1, 1, seed=0)
@@ -135,6 +151,36 @@ def test_step_rejects_bad_state():
         step_absolute([1.0, 2.0], params, net, pf, None, 0.1)
     with pytest.raises(PriceUndefinedError):
         step_absolute([-2.0, 1.0, 0.0, 0.5], params, net, pf, None, 0.1)
+
+
+def test_increment_shortcuts_match_general_path():
+    # rows over every firm take the firm-mean shortcut; the same matrices
+    # without a declared spread go through the sparse products instead
+    params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.01, nu=0.05,
+                           a=1.0, delta=1.0)
+    pf = CobbDouglas(0.3)
+    n, f, k, dt = 12, 6, 5, 0.1
+    uniform = build_regular(n, f, f, f, seed=0)
+    general = AllocationNetwork(n_households=n, n_firms=f, invest=uniform.invest,
+                                labor=uniform.labor, invest_spread=None, labor_spread=None)
+    mixed = build_regular(n, f, f, 2, seed=1)
+    gen = _stream(13, 0)
+    wealth = P_BAR_STAR * (1.0 + 0.3 * gen.uniform(-1.0, 1.0, n))
+    block = sample_firm_shocks((k, f), params, dt, gen)
+    lam = wealth.mean()
+    gval, gslope = pf.value(lam), pf.derivative(lam)
+    for labor_deterministic in (False, True):
+        for shocks in (block[0], None):
+            a = step_absolute(wealth, params, uniform, pf, shocks, dt, labor_deterministic)
+            b = step_absolute(wealth, params, general, pf, shocks, dt, labor_deterministic)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        for net in (uniform, general, mixed):
+            batched = _firm_shock_increment(wealth, params, net, gval, gslope, lam,
+                                            block, dt, labor_deterministic)
+            single = [_firm_shock_increment(wealth, params, net, gval, gslope, lam,
+                                            row, dt, labor_deterministic) for row in block]
+            assert batched.shape == (k, n)
+            np.testing.assert_allclose(batched, np.array(single), rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +280,6 @@ def test_zero_noise_deviations_decay_geometrically():
     steps = 40
     factor = (1.0 - 0.038 * dt) ** steps
     np.testing.assert_allclose(panel.final() - P_BAR_STAR, spread * factor, rtol=1e-9)
-
-
-def test_run_absolute_direct_covariance_mode():
-    params, net, pf = _benchmark_setup()
-    cfg = SimulationConfig(dt=0.25, t_end=220.0, burn_in=20.0, record_every=1.0,
-                           seed=2, noise_model=DIRECT_COVARIANCE)
-    panel = run_absolute(cfg, params, net, pf, np.full(20, P_BAR_STAR))
-    ref_cfg = dataclasses.replace(cfg, noise_model="firm_shocks")
-    ref = run_absolute(ref_cfg, params, net, pf, np.full(20, P_BAR_STAR))
-    # same law, different construction: location and dispersion should agree
-    assert panel.pooled().mean() == pytest.approx(P_BAR_STAR, rel=0.05)
-    assert panel.pooled().std() == pytest.approx(ref.pooled().std(), rel=0.35)
-    assert np.all(np.isfinite(panel.snapshots))
 
 
 def test_run_absolute_failure_reports_step():
