@@ -27,12 +27,15 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-9
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 def _check_row_stochastic(mat, name):
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         raise DomainError(f"{name} matrix must be non-empty, got shape {mat.shape}")
     data = mat.data
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"{name} weights must be finite")
     if data.size and (np.any(data < 0.0) or np.any(data > 1.0)):
         raise DomainError(f"{name} weights must lie in [0, 1]")
     rows = np.asarray(mat.sum(axis=1)).ravel()
@@ -110,17 +113,29 @@ class AllocationNetwork:
         """
         return float(np.max(np.asarray(self.invest.sum(axis=0)).ravel()))
 
+    def overlap_means(self) -> tuple[float, float, float]:
+        """Diagonal means of the invest, cross and labor overlap matrices.
+
+        Diagonal entry i is the inner product of household i's own two
+        rows, so the means cost O(nnz) and no N x N product is formed.
+        """
+        def mean_diag(a, b):
+            return float(np.asarray(a.multiply(b).sum(axis=1)).ravel().mean())
+
+        return (mean_diag(self.invest, self.invest),
+                mean_diag(self.invest, self.labor),
+                mean_diag(self.labor, self.labor))
+
     def overlaps(self) -> OverlapStats:
-        invest = np.asarray((self.invest @ self.invest.T).todense())
-        cross = np.asarray((self.invest @ self.labor.T).todense())
-        labor = np.asarray((self.labor @ self.labor.T).todense())
+        """Dense pairwise overlaps: three N x N matrices, for small N only."""
+        invest_mean, cross_mean, labor_mean = self.overlap_means()
         return OverlapStats(
-            invest=invest,
-            cross=cross,
-            labor=labor,
-            invest_mean=float(np.mean(np.diag(invest))),
-            cross_mean=float(np.mean(np.diag(cross))),
-            labor_mean=float(np.mean(np.diag(labor))),
+            invest=(self.invest @ self.invest.T).toarray(),
+            cross=(self.invest @ self.labor.T).toarray(),
+            labor=(self.labor @ self.labor.T).toarray(),
+            invest_mean=invest_mean,
+            cross_mean=cross_mean,
+            labor_mean=labor_mean,
         )
 
 
@@ -156,9 +171,8 @@ def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):
     rng.shuffle(slots)
     rows = slots.reshape(n_rows, spread)
     for _ in range(max_passes):
-        counts = np.zeros((n_rows, n_firms), dtype=np.int32)
-        np.add.at(counts, (np.repeat(np.arange(n_rows), spread), rows.ravel()), 1)
-        bad_rows = np.nonzero((counts > 1).any(axis=1))[0]
+        srt = np.sort(rows, axis=1)
+        bad_rows = np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0]
         if bad_rows.size == 0:
             return rows
         for i in bad_rows:
@@ -268,40 +282,43 @@ def save_network(net: AllocationNetwork, path):
 
 
 def load_network(path) -> AllocationNetwork:
+    """Read a network written by ``save_network``.
+
+    The header is parsed by hand and the triplets by ``np.loadtxt``,
+    whose integer fields reject non-integral indices; comment lines are
+    not allowed.  Any malformed or invalid file raises NetworkBuildError.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise NetworkBuildError(f"network file {path} is empty")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise NetworkBuildError(f"bad header {lines[0]!r}, expected 'N F nnz_invest nnz_labor'")
-    try:
-        n, f, nnz_inv, nnz_lab = (int(x) for x in head)
-    except ValueError as exc:
-        raise NetworkBuildError(f"bad header {lines[0]!r}: {exc}") from None
-    if len(lines) - 1 != nnz_inv + nnz_lab:
+        header = next((ln.strip() for ln in fh if ln.strip()), "")
+        if not header:
+            raise NetworkBuildError(f"network file {path} is empty")
+        head = header.split()
+        if len(head) != 4:
+            raise NetworkBuildError(f"bad header {header!r}, expected 'N F nnz_invest nnz_labor'")
+        try:
+            n, f, nnz_inv, nnz_lab = (int(x) for x in head)
+        except ValueError as exc:
+            raise NetworkBuildError(f"bad header {header!r}: {exc}") from None
+        if min(n, f, nnz_inv, nnz_lab) < 0:
+            raise NetworkBuildError(f"bad header {header!r}: negative count")
+        try:
+            triplets = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise NetworkBuildError(f"bad triplet in network file {path}: {exc}") from None
+    if triplets.size != nnz_inv + nnz_lab:
         raise NetworkBuildError(
-            f"expected {nnz_inv + nnz_lab} triplets, found {len(lines) - 1}")
+            f"expected {nnz_inv + nnz_lab} triplets, found {triplets.size}")
 
-    def parse(chunk, label):
-        rows, cols, data = [], [], []
-        for ln in chunk:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise NetworkBuildError(f"bad {label} triplet {ln!r}")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise NetworkBuildError(f"bad {label} triplet {ln!r}: {exc}") from None
-            if not (0 <= i < n and 0 <= j < f):
-                raise NetworkBuildError(f"{label} index out of range in {ln!r}")
-            rows.append(i)
-            cols.append(j)
-            data.append(w)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, f))
+    def to_csr(chunk, label):
+        i, j = chunk["i"], chunk["j"]
+        bad = np.nonzero((i < 0) | (i >= n) | (j < 0) | (j >= f))[0]
+        if bad.size:
+            raise NetworkBuildError(
+                f"{label} index out of range in triplet {chunk[bad[0]].tolist()}")
+        return sp.csr_matrix((chunk["w"], (i, j)), shape=(n, f))
 
-    invest = parse(lines[1:1 + nnz_inv], "invest")
-    labor = parse(lines[1 + nnz_inv:], "labor")
+    invest = to_csr(triplets[:nnz_inv], "invest")
+    labor = to_csr(triplets[nnz_inv:], "labor")
     try:
         return AllocationNetwork(n_households=n, n_firms=f, invest=invest, labor=labor)
     except DomainError as exc:

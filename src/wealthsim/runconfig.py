@@ -53,6 +53,7 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +135,15 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def build_network(self) -> AllocationNetwork:
+        """The configured network, built or loaded on first use only.
+
+        Every later call on this config returns the same (immutable)
+        network, so a network file is read once per config.
+        """
+        return self._network
+
+    @cached_property
+    def _network(self) -> AllocationNetwork:
         if self.network_spec is None:
             raise ConfigError("this run has no [network] section")
         spec = dict(self.network_spec)
@@ -145,14 +155,14 @@ class RunConfig:
         """Mean self-overlap of investment portfolios for analytic formulas.
 
         A regular network pins it to 1/invest_spread without being
-        built; a network file is loaded and measured; with no network
-        the default (1, or whatever delta_theta_product implies) is
-        used.
+        built; a network file is loaded once and measured; with no
+        network the default (1, or whatever delta_theta_product implies)
+        is used.
         """
         if self.network_spec is None:
             return self.theta_bar_default
         if "file" in self.network_spec:
-            return float(self.build_network().overlaps().invest_mean)
+            return self.build_network().overlap_means()[0]
         return 1.0 / self.network_spec["invest_spread"]
 
     def to_dict(self) -> dict:

@@ -141,13 +141,12 @@ def _run_absolute_scenario(cfg: RunConfig, report, params):
 
     density = None
     if report.regime == market.STATIONARY:
-        ov = net.overlaps()
+        invest_mean, cross_mean, labor_mean = net.overlap_means()
         state = market.clear(params, pf, report.mean_wealth)
         if cfg.simulation.labor_deterministic:
-            coeffs = mean_field_coeffs(params, state, ov.invest_mean, 0.0, 0.0)
+            coeffs = mean_field_coeffs(params, state, invest_mean, 0.0, 0.0)
         else:
-            coeffs = mean_field_coeffs(params, state, ov.invest_mean,
-                                       ov.cross_mean, ov.labor_mean)
+            coeffs = mean_field_coeffs(params, state, invest_mean, cross_mean, labor_mean)
         density = stationary_density(coeffs)
 
     if cfg.scenario == "CompleteMarkets":

@@ -166,6 +166,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_corrupt_network_file_exits_1(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    cfg = _write(tmp_path, SMALL_RUN.replace(
+        "n_households = 100\n    n_firms = 100\n    invest_spread = 2\n"
+        "    labor_spread = 10\n    seed = 7\n", f"file = {net}\n"))
+    for text in ("1 2 1 1\n0 0 nan\n0 1 1.0\n",     # non-finite weight
+                 "1 2 1 1\n0 1.0 1.0\n0 1 1.0\n",   # non-integral index
+                 "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n"):
+        net.write_text(text)
+        for command in (["regime"], ["validate"], ["simulate", "--out", str(tmp_path / "o")]):
+            assert main([command[0], "--config", cfg] + command[1:]) == 1, (text, command)
+    assert "NetworkBuildError" in capsys.readouterr().err
+
+
 def test_knife_edge_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, """\
         [economy]

@@ -1,5 +1,7 @@
 """Allocation network construction, invariants, and persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,21 +101,66 @@ def test_save_load_round_trip(tmp_path):
     assert (back.labor != net.labor).nnz == 0
 
 
+# Each loads a 1-household, 2-firm network whose one valid form is
+# "1 2 1 1\n0 0 1.0\n0 1 1.0\n"; every entry breaks it in one way.
+CORRUPT_NETWORK_FILES = {
+    "empty": "",
+    "short header": "3 2\n",
+    "missing labor triplet": "1 2 1 1\n0 0 1.0\n",
+    # weights there but rows not summing to one
+    "row sum": "1 2 2 1\n0 0 0.5\n0 1 0.2\n0 0 1.0\n",
+    "nan weight": "1 2 1 1\n0 0 nan\n0 1 1.0\n",
+    "inf weight": "1 2 1 1\n0 0 1.0\n0 1 inf\n",
+    "non-numeric weight": "1 2 1 1\n0 0 one\n0 1 1.0\n",
+    "2-token line": "1 2 1 1\n0 0\n0 1 1.0\n",
+    "4-token line": "1 2 1 1\n0 0 1.0 0\n0 1 1.0\n",
+    "non-integral index": "1 2 1 1\n0 1.0 1.0\n0 1 1.0\n",
+    "row index out of range": "1 2 1 1\n1 0 1.0\n0 1 1.0\n",
+    "column index out of range": "1 2 1 1\n0 0 1.0\n0 2 1.0\n",
+    "negative index": "1 2 1 1\n-1 0 1.0\n0 1 1.0\n",
+    "comment line": "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n",
+    "more triplets than header": "1 2 1 1\n0 0 1.0\n0 1 1.0\n0 1 1.0\n",
+    "negative count": "1 2 -1 3\n0 0 1.0\n0 1 1.0\n",
+}
+
+
 def test_load_rejects_corrupt_files(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("")
-    with pytest.raises(NetworkBuildError):
-        load_network(p)
-    p.write_text("3 2\n")
-    with pytest.raises(NetworkBuildError):
-        load_network(p)
-    p.write_text("1 2 1 1\n0 0 1.0\n")
-    with pytest.raises(NetworkBuildError):
-        load_network(p)
-    # weights there but rows not summing to one
-    p.write_text("1 2 2 1\n0 0 0.5\n0 1 0.2\n0 0 1.0\n")
-    with pytest.raises(NetworkBuildError):
-        load_network(p)
+    p.write_text("1 2 1 1\n0 0 1.0\n0 1 1.0\n")
+    assert load_network(p).n_firms == 2
+    for label, text in CORRUPT_NETWORK_FILES.items():
+        p.write_text(text)
+        try:
+            load_network(p)
+        except NetworkBuildError:
+            continue
+        pytest.fail(f"{label}: loaded without NetworkBuildError")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_regular(40, 20, 4, 10, seed=3),
+    lambda: build_heterogeneous(30, 12, np.arange(30) % 12 + 1, np.arange(30) % 5 + 1, seed=2),
+    lambda: build_regular(12, 6, 6, 6, seed=0),
+], ids=["regular", "heterogeneous", "all_firms"])
+def test_overlap_means_match_dense_diagonals(build):
+    net = build()
+    ov = net.overlaps()
+    means = net.overlap_means()
+    dense = [np.mean(np.diag(m)) for m in (ov.invest, ov.cross, ov.labor)]
+    np.testing.assert_allclose(means, dense, rtol=1e-15, atol=0)
+
+
+def test_regular_network_is_pinned():
+    # sha256 of the index arrays, recorded before the duplicate-firm
+    # repair changed from per-row count matrices to sorted rows; the
+    # repairs must pick the same rows in the same order so the seeded
+    # draws stay the same
+    net = build_regular(300, 100, 7, 30, seed=11)
+    h = hashlib.sha256()
+    for m in (net.invest, net.labor):
+        h.update(np.asarray(m.indices, dtype=np.int64).tobytes())
+        h.update(np.asarray(m.indptr, dtype=np.int64).tobytes())
+    assert h.hexdigest() == "7bfe53ab4c43356c7c039b7f582dff991118d73007e9093b8170b1c85f62c6f8"
 
 
 def test_network_validation():
@@ -125,3 +172,7 @@ def test_network_validation():
                           labor=sp.csr_matrix(np.array([[0.7, 0.2], [0.5, 0.5]])))
     with pytest.raises(DomainError):
         AllocationNetwork(n_households=2, n_firms=3, invest=ok, labor=ok)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            AllocationNetwork(n_households=2, n_firms=2, invest=ok,
+                              labor=sp.csr_matrix(np.array([[bad, 0.5], [0.5, 0.5]])))

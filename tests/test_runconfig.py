@@ -16,6 +16,7 @@ from wealthsim import (
     load_config,
     save_network,
 )
+from wealthsim import runconfig
 from wealthsim.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -271,6 +272,23 @@ def test_network_from_file(tmp_path):
     assert cfg.theta_bar() == pytest.approx(1.0 / 3.0, rel=1e-12)
     with pytest.raises(ConfigError):
         _load(tmp_path, MINIMAL + "\n[network]\nfile = /nonexistent/net.txt\n")
+
+
+def test_network_file_is_loaded_once_per_config(tmp_path, monkeypatch):
+    net_path = tmp_path / "net.txt"
+    save_network(build_regular(6, 3, 3, 1, seed=0), net_path)
+    calls = []
+
+    def counting_load(path, load=runconfig.load_network):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(runconfig, "load_network", counting_load)
+    cfg = _load(tmp_path, MINIMAL + f"\n[network]\nfile = {net_path}\n")
+    assert calls == []      # parsing the config does not load the network
+    assert cfg.theta_bar() == cfg.theta_bar() == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert cfg.build_network() is cfg.build_network()
+    assert len(calls) == 1
 
 
 def test_build_network_from_spec(tmp_path):
