@@ -9,6 +9,7 @@ survives aggregation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -302,7 +303,10 @@ def load_network(path) -> AllocationNetwork:
         if min(n, f, nnz_inv, nnz_lab) < 0:
             raise NetworkBuildError(f"bad header {header!r}: negative count")
         try:
-            triplets = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                # a file without triplets fails the count or validation checks below
+                warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+                triplets = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
         except ValueError as exc:
             raise NetworkBuildError(f"bad triplet in network file {path}: {exc}") from None
     if triplets.size != nnz_inv + nnz_lab:

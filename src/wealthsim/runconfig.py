@@ -75,7 +75,7 @@ SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 
 _ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
 _NETWORK_KEYS = {"file", "n_households", "n_firms", "invest_spread", "labor_spread", "seed"}
-_SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed", "scheme",
+_SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed",
                     "labor_deterministic", "initial", "initial_spread"}
 
 
@@ -246,7 +246,6 @@ def _parse_simulation(raw) -> tuple[SimulationConfig, str | float, float]:
         burn_in=_float("simulation", "burn_in", raw, 0.0),
         record_every=_float("simulation", "record_every", raw, 1.0),
         seed=_int("simulation", "seed", raw, 0),
-        scheme=raw.get("scheme", "milstein").strip(),
         labor_deterministic=_bool("simulation", "labor_deterministic", raw),
     )
     initial_text = raw.get("initial", "stationary").strip()

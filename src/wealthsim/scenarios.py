@@ -205,11 +205,8 @@ def _run_relative(cfg: RunConfig, report):
     n = 10_000
     if cfg.network_spec is not None and "file" not in cfg.network_spec:
         n = cfg.network_spec["n_households"]
-    u0 = np.ones(n)
-    if cfg.initial_spread > 0.0:
-        gen = _stream(cfg.simulation.seed, _INIT_STREAM)
-        u0 = 1.0 + cfg.initial_spread * gen.uniform(-1.0, 1.0, n)
-        u0 /= u0.mean()
+    u0 = _initial_wealth(cfg, 1.0, n)
+    u0 /= u0.mean()
 
     panel = run_relative_growth(cfg.simulation, params, theta_bar,
                                 report.capital_return, u0)

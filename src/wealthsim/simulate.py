@@ -41,10 +41,6 @@ __all__ = [
     "analytic_noise_covariance",
 ]
 
-MILSTEIN = "milstein"
-EULER = "euler_maruyama"
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Time stepping and recording plan for a run.
@@ -58,7 +54,6 @@ class SimulationConfig:
     burn_in: float = 0.0
     record_every: float = 1.0
     seed: int = 0
-    scheme: str = MILSTEIN
     labor_deterministic: bool = False
 
     def __post_init__(self):
@@ -69,8 +64,6 @@ class SimulationConfig:
                 f"need 0 <= burn_in < t_end, got burn_in={self.burn_in} t_end={self.t_end}")
         if not self.record_every > 0.0:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
-        if self.scheme not in (MILSTEIN, EULER):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         for name in ("t_end", "burn_in", "record_every"):
@@ -286,6 +279,29 @@ def _panel_metadata(config, params, pf, extra=None):
     return meta
 
 
+def _record(config: SimulationConfig, state: np.ndarray, advance):
+    """Step ``state`` through ``advance(state, step)`` and keep the snapshots.
+
+    The state is recorded at t=0 when there is no burn-in, then every
+    ``record_every`` from ``burn_in`` on.  A state that stops being
+    finite raises NonFiniteError carrying the step index.  Returns the
+    recording times and the stacked snapshots.
+    """
+    steps_total, burn_steps, rec_steps = config.step_counts()
+    times, snaps = [], []
+    if burn_steps == 0:
+        times.append(0.0)
+        snaps.append(state.copy())
+    for step in range(1, steps_total + 1):
+        state = advance(state, step)
+        if not np.all(np.isfinite(state)):
+            raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
+        if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
+            times.append(step * config.dt)
+            snaps.append(state.copy())
+    return np.array(times), np.array(snaps)
+
+
 def run_absolute(config: SimulationConfig, params: EconomyParams,
                  net: AllocationNetwork, pf: ProductionFunction,
                  initial) -> WealthPanel:
@@ -308,29 +324,19 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = "
             f"{params.s * (1.0 - params.tau_k) * rho0 * config.dt:.3g} >= 0.1")
 
-    steps_total, burn_steps, rec_steps = config.step_counts()
-    times, snaps = [], []
-    if burn_steps == 0:
-        times.append(0.0)
-        snaps.append(p.copy())
-
-    for step in range(1, steps_total + 1):
+    def advance(p, step):
         lam = p.mean()
         if not lam > 0.0:
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         shocks = sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
-        p = p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
-                                      lam, shocks, config.dt, config.labor_deterministic)
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
-        if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
-            times.append(step * config.dt)
-            snaps.append(p.copy())
+        return p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
+                                         lam, shocks, config.dt, config.labor_deterministic)
 
+    times, snaps = _record(config, p, advance)
     return WealthPanel(
-        times=np.array(times),
-        snapshots=np.array(snaps),
+        times=times,
+        snapshots=snaps,
         kind="absolute",
         metadata=_panel_metadata(config, params, pf, {
             "network": {"n_households": n, "n_firms": f,
@@ -347,8 +353,14 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
 
     Relative wealth reverts to 1 at rate ``s * return * tau_k`` and
     carries multiplicative noise with variance rate
-    ``delta * s**2 * (1-tau_k)**2 * return**2 * overlap``.  Without
-    capital taxation there is nothing to revert to and the run refuses.
+    ``delta * s**2 * (1-tau_k)**2 * return**2 * overlap``.  Each step
+    is a Strang splitting whose parts are solved exactly: half a step
+    of relaxation ``1 + (u-1)*exp(-revert*dt/2)``, the geometric step
+    ``u*exp(sigma*dW - sigma**2*dt/2)``, then the other half step of
+    relaxation, with one normal per household from the (seed, step)
+    stream.  Relative wealth stays positive and its mean is kept in
+    expectation for any dt.  Without capital taxation there is nothing
+    to revert to and the run refuses.
     """
     if params.tau_k == 0.0:
         raise DegenerateDynamicsError(
@@ -366,40 +378,19 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         * capital_return * math.sqrt(invest_overlap_mean)
     if revert * config.dt >= 0.5 or sigma * sigma * config.dt >= 1.0:
         raise ConfigError("dt too coarse for the reversion or noise scale")
-    milstein = config.scheme == MILSTEIN
+    decay = math.exp(-0.5 * revert * config.dt)
+    sq = math.sqrt(config.dt)
 
-    def advance(u_sub, dt_sub, gen, depth=0):
-        sq = math.sqrt(dt_sub)
-        for _ in range(10):
-            dw = sq * gen.standard_normal(u_sub.shape[0])
-            prop = u_sub + revert * (1.0 - u_sub) * dt_sub + sigma * u_sub * dw
-            if milstein:
-                prop += 0.5 * sigma * sigma * u_sub * (dw * dw - dt_sub)
-            bad = prop <= 0.0
-            if not bad.any():
-                return prop
-        if depth >= 5:
-            raise NonFiniteError("relative wealth kept hitting zero despite step halving")
-        half = advance(u_sub, 0.5 * dt_sub, gen, depth + 1)
-        return advance(half, 0.5 * dt_sub, gen, depth + 1)
+    def advance(u, step):
+        dw = sq * _stream(config.seed, step).standard_normal(u.shape[0])
+        u = 1.0 + (u - 1.0) * decay
+        u = u * np.exp(sigma * dw - 0.5 * sigma * sigma * config.dt)
+        return 1.0 + (u - 1.0) * decay
 
-    steps_total, burn_steps, rec_steps = config.step_counts()
-    times, snaps = [], []
-    if burn_steps == 0:
-        times.append(0.0)
-        snaps.append(u.copy())
-    for step in range(1, steps_total + 1):
-        gen = _stream(config.seed, step)
-        u = advance(u, config.dt, gen)
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
-        if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
-            times.append(step * config.dt)
-            snaps.append(u.copy())
-
+    times, snaps = _record(config, u, advance)
     return WealthPanel(
-        times=np.array(times),
-        snapshots=np.array(snaps),
+        times=times,
+        snapshots=snaps,
         kind="relative",
         metadata={
             "config": asdict(config),

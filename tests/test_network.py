@@ -121,9 +121,12 @@ CORRUPT_NETWORK_FILES = {
     "comment line": "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n",
     "more triplets than header": "1 2 1 1\n0 0 1.0\n0 1 1.0\n0 1 1.0\n",
     "negative count": "1 2 -1 3\n0 0 1.0\n0 1 1.0\n",
+    "header only, no triplets declared": "1 2 0 0\n",
+    "header only, triplets declared": "1 2 1 1\n",
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_load_rejects_corrupt_files(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 1 1\n0 0 1.0\n0 1 1.0\n")

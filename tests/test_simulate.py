@@ -28,7 +28,6 @@ from wealthsim.errors import (
     PriceUndefinedError,
 )
 from wealthsim.simulate import (
-    EULER,
     _firm_shock_increment,
     _stream,
     analytic_noise_covariance,
@@ -51,8 +50,6 @@ def test_config_validation():
         SimulationConfig(dt=0.5, t_end=10.0, record_every=0.3)
     with pytest.raises(ConfigError):
         SimulationConfig(dt=0.5, t_end=10.3)
-    with pytest.raises(ConfigError):
-        SimulationConfig(dt=0.5, t_end=10.0, scheme="heun")
     with pytest.raises(ConfigError):
         SimulationConfig(dt=0.5, t_end=10.0, seed=-1)
 
@@ -317,18 +314,28 @@ def test_relative_growth_basics():
     assert panel.final().mean() == pytest.approx(1.0, abs=0.05)
 
 
-def test_relative_growth_euler_close_to_milstein():
-    params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=10.0)
-    cfg = SimulationConfig(dt=0.1, t_end=50.0, burn_in=0.0, record_every=50.0, seed=4)
-    mil = run_relative_growth(cfg, params, 1.0, RHO_INF, np.ones(500))
-    eul = run_relative_growth(dataclasses.replace(cfg, scheme=EULER), params, 1.0,
-                              RHO_INF, np.ones(500))
-    assert mil.metadata["config"]["scheme"] == "milstein"
-    assert eul.metadata["config"]["scheme"] == EULER
-    # same shocks, schemes differ at second order in the step
-    gaps = np.abs(mil.final() - eul.final())
-    assert 0.0 < gaps.mean() < 0.02
-    assert gaps.max() < 0.5
+@pytest.mark.parametrize("delta, dt", [(10.0, 0.25), (70.0, 50.0)],
+                         ids=["shipped_dt", "coarse_dt"])
+def test_relative_steps_by_hand(delta, dt):
+    # the coarse input has revert*dt = 0.20 and sigma**2*dt = 0.90, where
+    # an Euler-type step would need rejections to stay positive
+    params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=delta)
+    cfg = SimulationConfig(dt=dt, t_end=3 * dt, record_every=dt, seed=5)
+    u = 1.0 + 0.5 * np.random.default_rng(2).uniform(-1.0, 1.0, 50)
+    u /= u.mean()
+    panel = run_relative_growth(cfg, params, 1.0, RHO_INF, u)
+    np.testing.assert_array_equal(panel.times, [0.0, dt, 2 * dt, 3 * dt])
+    np.testing.assert_array_equal(panel.snapshots[0], u)
+
+    revert = params.s * RHO_INF * params.tau_k
+    sigma = math.sqrt(delta) * params.s * (1.0 - params.tau_k) * RHO_INF
+    half = math.exp(-0.5 * revert * dt)
+    for step in (1, 2, 3):
+        dw = math.sqrt(dt) * _stream(5, step).standard_normal(50)
+        geometric = np.exp(sigma * dw - 0.5 * sigma ** 2 * dt)
+        u = 1.0 + ((1.0 + (u - 1.0) * half) * geometric - 1.0) * half
+        np.testing.assert_allclose(panel.snapshots[step], u, rtol=1e-14, atol=0)
+    assert np.all(panel.snapshots > 0.0)
 
 
 def test_relative_growth_input_validation():
