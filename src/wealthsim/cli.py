@@ -120,9 +120,8 @@ def cmd_regime(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    threads = _resolve_threads(args)
+    _resolve_threads(args)
     summary = run_scenario(cfg, out_dir=_out_dir(args, cfg))
-    summary["threads"] = threads
     line = {k: summary["metrics"][k] for k in sorted(summary.get("metrics", {}))}
     print(f"{summary['scenario']}: {summary['snapshot_count']} snapshots, "
           f"final mean {summary['mean_path'][-1]:.6g}")

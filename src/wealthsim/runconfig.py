@@ -131,7 +131,6 @@ class RunConfig:
     outputs: dict
     initial: str | float
     initial_spread: float
-    theta_bar_default: float
     raw: dict = field(default_factory=dict, compare=False)
 
     def build_network(self) -> AllocationNetwork:
@@ -156,11 +155,11 @@ class RunConfig:
 
         A regular network pins it to 1/invest_spread without being
         built; a network file is loaded once and measured; with no
-        network the default (1, or whatever delta_theta_product implies)
-        is used.
+        network it is 1, so ``delta`` (or ``delta_theta_product``) is
+        the whole noise-times-overlap product.
         """
         if self.network_spec is None:
-            return self.theta_bar_default
+            return 1.0
         if "file" in self.network_spec:
             return self.build_network().overlap_means()[0]
         return 1.0 / self.network_spec["invest_spread"]
@@ -293,8 +292,8 @@ def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
 
 
 def _apply_scenario_constraints(scenario, network_spec, sim: SimulationConfig,
-                                sim_raw) -> tuple[dict | None, SimulationConfig]:
-    """Pin the network and stepping choices a scenario presupposes."""
+                                sim_raw) -> SimulationConfig:
+    """Check the network and pin the stepping choices a scenario presupposes."""
     if scenario in ("CompleteMarkets", "LaborOnlyRisk") and network_spec is not None \
             and "file" not in network_spec:
         f = network_spec["n_firms"]
@@ -310,7 +309,7 @@ def _apply_scenario_constraints(scenario, network_spec, sim: SimulationConfig,
                 "StaggeredWages means deterministic labor income;"
                 " remove labor_deterministic = false")
         sim = replace(sim, labor_deterministic=True)
-    return network_spec, sim
+    return sim
 
 
 def _build(raw_sections: dict) -> RunConfig:
@@ -340,7 +339,7 @@ def _build(raw_sections: dict) -> RunConfig:
         if scenario is None:
             raise ConfigError(
                 f"[scenario] name must be one of {', '.join(SCENARIOS)}, got {name!r}")
-        network_spec, simulation = _apply_scenario_constraints(
+        simulation = _apply_scenario_constraints(
             scenario, network_spec, simulation, sim_raw)
         if scenario != "EndogenousGrowthRelative" and network_spec is None:
             raise ConfigError(f"scenario {scenario} needs a [network] section")
@@ -362,7 +361,6 @@ def _build(raw_sections: dict) -> RunConfig:
         outputs=outputs,
         initial=initial,
         initial_spread=spread,
-        theta_bar_default=1.0,
         raw={k: dict(v) for k, v in raw_sections.items()},
     )
 

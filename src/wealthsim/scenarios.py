@@ -18,7 +18,6 @@ import numpy as np
 
 from . import market
 from .analytics import (
-    GaussianDensity,
     PointMassDensity,
     mean_field_coeffs,
     relative_wealth_density,
@@ -78,6 +77,40 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
+def _scenario_params(cfg: RunConfig):
+    """Economy the configured scenario runs on."""
+    params = cfg.economy
+    if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
+        # every household holds every firm, so idiosyncratic risk pools away;
+        # finite-firm residual noise is not part of this scenario
+        params = dataclasses.replace(params, delta=0.0)
+    return params
+
+
+def _target_density(cfg: RunConfig, params, report):
+    """Closed-form law the config's wealth is measured against, or None.
+
+    In a growth regime it is the relative-wealth density (none without a
+    tail exponent).  A stationary regime takes the mean-field density at
+    the network's overlap means: deterministic labor drops the cross and
+    labor channels, LaborOnlyRisk the invest and cross ones, and with no
+    network the investment channel carries theta_bar alone.
+    """
+    if report.regime != market.STATIONARY:
+        alpha = report.tail_exponent
+        return relative_wealth_density(alpha) if alpha is not None else None
+    if cfg.network_spec is None:
+        invest, cross, labor = cfg.theta_bar(), 0.0, 0.0
+    else:
+        invest, cross, labor = cfg.build_network().overlap_means()
+    if cfg.simulation.labor_deterministic:
+        cross = labor = 0.0
+    if cfg.scenario == "LaborOnlyRisk":
+        invest = cross = 0.0
+    state = market.clear(params, cfg.production, report.mean_wealth)
+    return stationary_density(mean_field_coeffs(params, state, invest, cross, labor))
+
+
 def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
     """Run the configured scenario and summarize it against theory.
 
@@ -86,44 +119,61 @@ def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
     """
     if cfg.scenario is None:
         raise ConfigError("config has no [scenario] section")
-    params, pf = cfg.economy, cfg.production
-    if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
-        # every household holds every firm, so idiosyncratic risk pools away;
-        # finite-firm residual noise is not part of this scenario
-        params = dataclasses.replace(params, delta=0.0)
-    report = market.classify_regime(params, pf, invest_overlap_mean=cfg.theta_bar())
+    params = _scenario_params(cfg)
+    report = market.classify_regime(params, cfg.production,
+                                    invest_overlap_mean=cfg.theta_bar())
 
     if cfg.scenario == "EndogenousGrowthRelative":
-        summary, panel, density = _run_relative(cfg, report)
+        panel, metrics = _run_relative(cfg, params, report)
+        target = _target_density(cfg, params, report)
     else:
-        summary, panel, density = _run_absolute_scenario(cfg, report, params)
+        panel, metrics = _run_absolute_scenario(cfg, params, report)
+        # an absolute run in a growth regime has no closed-form target
+        target = (_target_density(cfg, params, report)
+                  if report.regime == market.STATIONARY else None)
+    pooled = panel.pooled()
+    measured = target is not None and not isinstance(target, PointMassDensity)
 
-    summary["scenario"] = cfg.scenario
-    summary["seed"] = cfg.simulation.seed
-    summary["config"] = cfg.to_dict()
-    summary["regime"] = report.to_dict()
-    summary["times"] = panel.times
-    summary["mean_path"] = panel.mean_path()
-    summary["snapshot_count"] = int(panel.times.size)
-    summary["moments"] = moments(panel.pooled())
+    summary = {
+        "scenario": cfg.scenario,
+        "seed": cfg.simulation.seed,
+        "config": cfg.to_dict(),
+        "regime": report.to_dict(),
+        "times": panel.times,
+        "mean_path": panel.mean_path(),
+        "snapshot_count": int(panel.times.size),
+        "moments": moments(pooled),
+        "metrics": metrics,
+        "hill": None,
+        "ks_distance": ks_distance(pooled, target.cdf) if measured else None,
+    }
+    if cfg.scenario == "LaborOnlyRisk" and measured:
+        metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
+                       sample_skewness=summary["moments"]["skewness"])
+    if cfg.scenario in ("IncompleteMarkets", "StaggeredWages", "EndogenousGrowthRelative"):
+        est, note = _try_hill(pooled)
+        summary["hill"] = est
+        if note:
+            metrics["hill_note"] = note
+        metrics["alpha_analytic"] = report.tail_exponent
+        if est is not None and cfg.scenario == "IncompleteMarkets":
+            metrics["alpha_hat"] = est["alpha"]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_summary(summary, os.path.join(out_dir, "summary.json"))
         if cfg.outputs.get("format", "csv") == "csv":
             panel.to_csv(os.path.join(out_dir, "panel.csv"))
-            if density is not None and not isinstance(density, PointMassDensity):
-                grid = density.quantile(np.linspace(0.001, 0.999, 501))
-                write_density_table(density, os.path.join(out_dir, "density.csv"), grid)
-            if summary.get("hill") is not None:
-                write_ccdf_table(panel.pooled(), os.path.join(out_dir, "ccdf.csv"))
+            if measured:
+                grid = target.quantile(np.linspace(0.001, 0.999, 501))
+                write_density_table(target, os.path.join(out_dir, "density.csv"), grid)
+            if summary["hill"] is not None:
+                write_ccdf_table(pooled, os.path.join(out_dir, "ccdf.csv"))
     return summary
 
 
-def _run_absolute_scenario(cfg: RunConfig, report, params):
-    pf = cfg.production
+def _run_absolute_scenario(cfg: RunConfig, params, report):
     net = cfg.build_network()
-
     if cfg.initial == "stationary":
         if report.regime != market.STATIONARY:
             raise ConfigError(
@@ -134,100 +184,43 @@ def _run_absolute_scenario(cfg: RunConfig, report, params):
         base = float(cfg.initial)
     p0 = _initial_wealth(cfg, base, net.n_households)
 
-    panel = run_absolute(cfg.simulation, params, net, pf, p0)
-    pooled = panel.pooled()
-    final = panel.final()
-    summary: dict = {"hill": None, "ks_distance": None, "metrics": {}}
-
-    density = None
-    if report.regime == market.STATIONARY:
-        invest_mean, cross_mean, labor_mean = net.overlap_means()
-        state = market.clear(params, pf, report.mean_wealth)
-        if cfg.simulation.labor_deterministic:
-            coeffs = mean_field_coeffs(params, state, invest_mean, 0.0, 0.0)
-        else:
-            coeffs = mean_field_coeffs(params, state, invest_mean, cross_mean, labor_mean)
-        density = stationary_density(coeffs)
-
+    panel = run_absolute(cfg.simulation, params, net, cfg.production, p0)
+    metrics: dict = {}
     if cfg.scenario == "CompleteMarkets":
-        summary["metrics"]["risk_fully_pooled"] = params.delta != cfg.economy.delta
-        target = report.mean_wealth if report.regime == market.STATIONARY else None
-        if target is not None:
-            dev = float(np.max(np.abs(final - target)))
-            summary["metrics"]["max_abs_dev_from_stationary_mean"] = dev
-            summary["metrics"]["degenerate"] = dev < 1e-6 * target
-    elif cfg.scenario == "LaborOnlyRisk":
-        if density is not None:
-            gauss = GaussianDensity(
-                coeffs.drift_intercept / coeffs.drift_slope,
-                coeffs.var_const / (2.0 * coeffs.drift_slope))
-            summary["ks_distance"] = ks_distance(pooled, gauss.cdf)
-            summary["metrics"] = {
-                "analytic_mean": gauss.mean, "analytic_variance": gauss.variance,
-                "sample_skewness": moments(pooled)["skewness"],
-            }
-            density = gauss
-    elif cfg.scenario == "IncompleteMarkets":
-        est, note = _try_hill(pooled)
-        summary["hill"] = est
-        if note:
-            summary["metrics"]["hill_note"] = note
-        if density is not None:
-            summary["ks_distance"] = ks_distance(pooled, density.cdf)
-        summary["metrics"]["alpha_analytic"] = report.tail_exponent
-        if est is not None:
-            summary["metrics"]["alpha_hat"] = est["alpha"]
+        metrics["risk_fully_pooled"] = params.delta != cfg.economy.delta
+        if report.regime == market.STATIONARY:
+            dev = float(np.max(np.abs(panel.final() - report.mean_wealth)))
+            metrics["max_abs_dev_from_stationary_mean"] = dev
+            metrics["degenerate"] = dev < 1e-6 * report.mean_wealth
     elif cfg.scenario == "StaggeredWages":
-        min_wealth = float(pooled.min())
-        summary["metrics"] = {
-            "min_wealth_after_burn_in": min_wealth,
-            "bounded_away_from_zero": min_wealth > 0.0,
-            "alpha_analytic": report.tail_exponent,
-        }
-        est, note = _try_hill(pooled)
-        summary["hill"] = est
-        if note:
-            summary["metrics"]["hill_note"] = note
-        if density is not None:
-            summary["ks_distance"] = ks_distance(pooled, density.cdf)
-    return summary, panel, density
+        min_wealth = float(panel.pooled().min())
+        metrics["min_wealth_after_burn_in"] = min_wealth
+        metrics["bounded_away_from_zero"] = min_wealth > 0.0
+    return panel, metrics
 
 
-def _run_relative(cfg: RunConfig, report):
-    params = cfg.economy
+def _run_relative(cfg: RunConfig, params, report):
     if report.regime == market.STATIONARY:
         raise ConfigError(
             "EndogenousGrowthRelative needs a growing economy;"
             " this configuration is stationary")
-    theta_bar = cfg.theta_bar()
-    alpha = report.tail_exponent
-
     n = 10_000
     if cfg.network_spec is not None and "file" not in cfg.network_spec:
         n = cfg.network_spec["n_households"]
     u0 = _initial_wealth(cfg, 1.0, n)
     u0 /= u0.mean()
 
-    panel = run_relative_growth(cfg.simulation, params, theta_bar,
+    panel = run_relative_growth(cfg.simulation, params, cfg.theta_bar(),
                                 report.capital_return, u0)
-    pooled = panel.pooled()
     final = panel.final()
-    density = relative_wealth_density(alpha) if alpha is not None else None
-
     mean_u = float(final.mean())
     stderr = float(final.std(ddof=1) / math.sqrt(final.size))
-    summary = {
-        "hill": _try_hill(pooled)[0],
-        "ks_distance": ks_distance(pooled, density.cdf) if density else None,
-        "metrics": {
-            "alpha_analytic": alpha,
-            "mean_relative_wealth": mean_u,
-            "stderr_mean": stderr,
-            "mean_within_3_stderr_of_1": abs(mean_u - 1.0) <= 3.0 * stderr,
-            "growth_rate": report.growth_rate,
-        },
+    return panel, {
+        "mean_relative_wealth": mean_u,
+        "stderr_mean": stderr,
+        "mean_within_3_stderr_of_1": abs(mean_u - 1.0) <= 3.0 * stderr,
+        "growth_rate": report.growth_rate,
     }
-    return summary, panel, density
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +303,18 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("noise_covariance", covariance_check))
 
     def density_check():
-        report = market.classify_regime(params, pf, invest_overlap_mean=cfg.theta_bar())
-        if report.regime != market.STATIONARY:
-            if report.tail_exponent is None:
-                return "growth regime without capital tax: no stationary shape to check"
-            dens = relative_wealth_density(report.tail_exponent)
-        else:
-            state = market.clear(params, pf, report.mean_wealth)
-            tb = cfg.theta_bar()
-            coeffs = mean_field_coeffs(params, state, tb, tb, tb)
-            dens = stationary_density(coeffs)
+        scenario_params = _scenario_params(cfg)
+        report = market.classify_regime(scenario_params, pf,
+                                        invest_overlap_mean=cfg.theta_bar())
+        dens = _target_density(cfg, scenario_params, report)
+        if dens is None:
+            return "growth regime without capital tax or firm noise: no stationary shape to check"
         if isinstance(dens, PointMassDensity):
             return "degenerate point mass, nothing to normalize"
         qs = np.linspace(0.01, 0.99, 25)
         gap = float(np.max(np.abs(dens.cdf(dens.quantile(qs)) - qs)))
-        return (gap < 1e-6, f"max |cdf(quantile(q)) - q| = {gap:.2e}")
+        return (gap < 1e-6,
+                f"{type(dens).__name__}: max |cdf(quantile(q)) - q| = {gap:.2e}")
 
     checks.append(_check("density_normalization", density_check))
 

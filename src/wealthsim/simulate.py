@@ -77,6 +77,9 @@ class SimulationConfig:
                 max(1, int(round(self.record_every / self.dt))))
 
 
+_CSV_BLOCK = 2048  # panel.csv rows formatted per write
+
+
 @dataclass(frozen=True)
 class WealthPanel:
     """Recorded snapshots of a run.
@@ -103,12 +106,15 @@ class WealthPanel:
 
     def to_csv(self, path):
         """Long-form CSV ``t,household_id,wealth`` at full precision."""
-        n_snap, n_h = self.snapshots.shape
+        row = "%.17g,%d,%.17g\n"
         with open(path, "w") as fh:
             fh.write("t,household_id,wealth\n")
-            for t, row in zip(self.times, self.snapshots):
-                for i in range(n_h):
-                    fh.write(f"{t:.17g},{i},{row[i]:.17g}\n")
+            # a bounded block of rows per write keeps the formatted text
+            # small whatever the number of households
+            for t, snap in zip(self.times.tolist(), self.snapshots):
+                for lo in range(0, snap.size, _CSV_BLOCK):
+                    block = snap[lo:lo + _CSV_BLOCK].tolist()
+                    fh.write("".join([row % (t, i, w) for i, w in enumerate(block, lo)]))
 
 
 def _stream(seed: int, step: int) -> np.random.Generator:

@@ -176,15 +176,30 @@ def test_relative_growth_extreme_tail_matches_density():
     assert 0.9 < summary["hill"]["alpha"] < 1.4
 
 
-def test_validate_checks_pass_on_shipped_config():
-    cfg = load_config(CONFIG_DIR / "incomplete_markets.ini")
+# the closed form each shipped config's density check normalises: the
+# same target the scenario's KS distance is measured against
+_SHIPPED_TARGETS = {
+    "complete_markets": "point mass",
+    "labor_only": "GaussianDensity",
+    "incomplete_markets": "PearsonType4Density",
+    "staggered_wages": "InverseGammaDensity",
+    "endogenous_growth": "InverseGammaDensity",
+    "nu_sweep": "InverseGammaDensity",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_TARGETS))
+def test_validate_checks_pass_on_shipped_config(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.ini")
     checks = validate_checks(cfg)
     assert [c["name"] for c in checks] == [
         "economy_params", "euler_identity", "network_invariants",
         "noise_covariance", "density_normalization", "transition_continuity"]
     failed = [c for c in checks if not c["passed"]]
     assert failed == []
-    assert "no growth transition" in checks[5]["detail"]
+    assert _SHIPPED_TARGETS[name] in checks[4]["detail"]
+    if name == "incomplete_markets":
+        assert "no growth transition" in checks[5]["detail"]
 
 
 def test_validate_checks_degenerate_branches():

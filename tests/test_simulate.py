@@ -28,6 +28,7 @@ from wealthsim.errors import (
     PriceUndefinedError,
 )
 from wealthsim.simulate import (
+    WealthPanel,
     _firm_shock_increment,
     _stream,
     analytic_noise_covariance,
@@ -402,3 +403,19 @@ def test_panel_csv_round_trip(tmp_path):
     # full-precision formatting restores the exact floats
     back = data[:, 2].reshape(panel.times.size, 20)
     np.testing.assert_array_equal(back, panel.snapshots)
+    # byte for byte the text of one f-string per row, also for snapshots
+    # wider than one block of formatted rows
+    wide = WealthPanel(np.array([0.5, 1.0]),
+                       _stream(4, 0).lognormal(0.0, 2.0, (2, 5000)), "absolute")
+    for p in (panel, wide):
+        p.to_csv(path)
+        expected = ["t,household_id,wealth"] + [
+            f"{t:.17g},{i},{row[i]:.17g}"
+            for t, row in zip(p.times, p.snapshots) for i in range(row.size)]
+        text = path.read_text()
+        assert text.endswith("\n")
+        lines = text.split("\n")[:-1]
+        assert len(lines) == len(expected)
+        # first differing line only: a full diff of 10k lines takes minutes
+        assert next(((k, a, b) for k, (a, b) in enumerate(zip(lines, expected))
+                     if a != b), None) is None
