@@ -166,10 +166,6 @@ class _Density:
     def quantile(self, q):
         raise NotImplementedError
 
-    def sample(self, n, rng) -> np.ndarray:
-        """Draw by inverting the CDF at uniform variates."""
-        return np.asarray(self.quantile(rng.uniform(size=n)))
-
 
 def _check_q(q):
     arr = np.asarray(q, dtype=float)
@@ -213,10 +209,6 @@ class InverseGammaDensity(_Density):
         self.rate = float(rate)
         self.tail_exponent = float(shape)
         self._log_norm = shape * math.log(rate) - gammaln(shape)
-
-    @property
-    def mode(self) -> float:
-        return self.rate / (self.shape + 1.0)
 
     def mean(self) -> float:
         if self.shape <= 1.0:
@@ -317,8 +309,6 @@ class PearsonType4Density(_Density):
         self._beta = 2.0 * coeffs.drift_slope / coeffs.var_quad
         self._w4 = 4.0 * coeffs.skew_weight / self._s
         self.tail_exponent = coeffs.tail_exponent
-        self.mode = ((2.0 * coeffs.drift_intercept - coeffs.var_lin)
-                     / (2.0 * (coeffs.drift_slope + coeffs.var_quad)))
         self._build_tables()
 
     # angle coordinate of a wealth level

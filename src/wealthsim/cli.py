@@ -72,7 +72,11 @@ def _resolve_threads(args) -> int:
     if args.threads is not None:
         n = args.threads
     else:
-        n = int(os.environ.get("WEALTHSIM_THREADS", "1"))
+        text = os.environ.get("WEALTHSIM_THREADS", "1")
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise ConfigError(f"WEALTHSIM_THREADS = {text!r} is not an integer") from exc
     if n < 1:
         raise ConfigError(f"thread count must be positive, got {n}")
     return n

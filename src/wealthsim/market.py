@@ -10,7 +10,7 @@ large wealth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from scipy.optimize import brentq
 
@@ -178,15 +178,7 @@ class RegimeReport:
     poverty_threshold: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "capital_return": self.capital_return,
-            "wage": self.wage,
-            "mean_wealth": self.mean_wealth,
-            "growth_rate": self.growth_rate,
-            "tail_exponent": self.tail_exponent,
-            "poverty_threshold": self.poverty_threshold,
-        }
+        return asdict(self)
 
 
 def classify_regime(params: EconomyParams, pf: ProductionFunction,

@@ -10,8 +10,7 @@ survives aggregation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,21 +46,17 @@ def _check_row_stochastic(mat, name):
 
 @dataclass(frozen=True)
 class OverlapStats:
-    """Pairwise portfolio overlaps and their typical (diagonal) levels.
+    """Pairwise portfolio overlaps.
 
     ``invest[i, m]`` is the probability-weighted number of firms the
     investment portfolios of households i and m share; ``labor`` is the
-    analog for labor allocations and ``cross`` mixes the two sides.  The
-    scalar means are the diagonal averages that drive the large-economy
-    noise coefficients.
+    analog for labor allocations and ``cross`` mixes the two sides.
+    Their diagonal means come from ``AllocationNetwork.overlap_means``.
     """
 
     invest: np.ndarray
     cross: np.ndarray
     labor: np.ndarray
-    invest_mean: float
-    cross_mean: float
-    labor_mean: float
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,6 @@ class AllocationNetwork:
     labor: sp.csr_matrix
     invest_spread: int | None = None
     labor_spread: int | None = None
-    firm_ratio: Fraction = field(init=False)
 
     def __post_init__(self):
         n, f = self.n_households, self.n_firms
@@ -91,7 +85,6 @@ class AllocationNetwork:
             if mat.shape != (n, f):
                 raise DomainError(f"{name} matrix has shape {mat.shape}, expected {(n, f)}")
             _check_row_stochastic(mat, name)
-        object.__setattr__(self, "firm_ratio", Fraction(f, n))
 
     def firm_labor(self) -> np.ndarray:
         """Units of labor supplied to each firm."""
@@ -129,14 +122,10 @@ class AllocationNetwork:
 
     def overlaps(self) -> OverlapStats:
         """Dense pairwise overlaps: three N x N matrices, for small N only."""
-        invest_mean, cross_mean, labor_mean = self.overlap_means()
         return OverlapStats(
             invest=(self.invest @ self.invest.T).toarray(),
             cross=(self.invest @ self.labor.T).toarray(),
             labor=(self.labor @ self.labor.T).toarray(),
-            invest_mean=invest_mean,
-            cross_mean=cross_mean,
-            labor_mean=labor_mean,
         )
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -89,11 +87,11 @@ class EconomyParams:
             raise DomainError("invalid economy parameters: " + "; ".join(problems))
 
 
-def _check_ratio(ratio):
-    arr = np.asarray(ratio, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+def _check_ratio(ratio) -> float:
+    x = float(ratio)
+    if not 0.0 < x < math.inf:
         raise DomainError(f"capital-labor ratio must be positive and finite, got {ratio!r}")
-    return arr
+    return x
 
 
 class ProductionFunction:
@@ -102,7 +100,8 @@ class ProductionFunction:
     Subclasses implement ``value`` (output per worker), ``derivative``
     (marginal product of capital) and ``derivative_limit`` (the slope as
     the ratio grows without bound, which decides whether the economy can
-    sustain growth).  All evaluations accept scalars or arrays.
+    sustain growth).  ``value`` and ``derivative`` take one ratio and
+    return one float.
     """
 
     def value(self, ratio):
@@ -137,22 +136,20 @@ class CES(ProductionFunction):
         if not 0.0 < self.gam < 1.0:
             raise DomainError(f"CES gam must lie in (0, 1), got {self.gam}")
 
-    def _log_inner(self, arr):
-        # log(eps * x**gam + 1 - eps), stable for very large x
-        return np.logaddexp(math.log(self.eps) + self.gam * np.log(arr),
-                            math.log1p(-self.eps))
+    def _log_inner(self, x):
+        # log(eps * x**gam + 1 - eps) as a log-add-exp, stable for very large x
+        a = math.log(self.eps) + self.gam * math.log(x)
+        b = math.log1p(-self.eps)
+        return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
     def value(self, ratio):
-        arr = _check_ratio(ratio)
-        out = np.exp(self._log_inner(arr) / self.gam)
-        return out if out.ndim else float(out)
+        x = _check_ratio(ratio)
+        return math.exp(self._log_inner(x) / self.gam)
 
     def derivative(self, ratio):
-        arr = _check_ratio(ratio)
-        log_d = (math.log(self.eps) + (self.gam - 1.0) * np.log(arr)
-                 + (1.0 / self.gam - 1.0) * self._log_inner(arr))
-        out = np.exp(log_d)
-        return out if out.ndim else float(out)
+        x = _check_ratio(ratio)
+        return math.exp(math.log(self.eps) + (self.gam - 1.0) * math.log(x)
+                        + (1.0 / self.gam - 1.0) * self._log_inner(x))
 
     def derivative_limit(self) -> float:
         return self.eps ** (1.0 / self.gam)
@@ -176,14 +173,10 @@ class CobbDouglas(ProductionFunction):
             raise DomainError(f"Cobb-Douglas eps must lie in (0, 1), got {self.eps}")
 
     def value(self, ratio):
-        arr = _check_ratio(ratio)
-        out = arr ** self.eps
-        return out if out.ndim else float(out)
+        return _check_ratio(ratio) ** self.eps
 
     def derivative(self, ratio):
-        arr = _check_ratio(ratio)
-        out = self.eps * arr ** (self.eps - 1.0)
-        return out if out.ndim else float(out)
+        return self.eps * _check_ratio(ratio) ** (self.eps - 1.0)
 
     def derivative_limit(self) -> float:
         return 0.0

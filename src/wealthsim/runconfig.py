@@ -41,16 +41,20 @@ Notes on individual keys:
   adds seeded uniform relative jitter in ``(-spread, +spread)``.
 * ``[sweep]`` takes ``parameter`` plus either ``values`` (whitespace or
   comma separated) or ``start``/``stop``/``count`` for a uniform grid.
+* A numeric key must hold a finite number: ``nan`` and ``inf`` are
+  config errors.
 
 Scenario names: CompleteMarkets, LaborOnlyRisk, IncompleteMarkets,
 StaggeredWages, EndogenousGrowthRelative.  The first two pin the
 corresponding allocation spread to the firm count (full
-diversification), and StaggeredWages forces deterministic labor income.
+diversification).  StaggeredWages is the scenario with deterministic
+labor income; no key selects that on its own.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -76,7 +80,7 @@ SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 _ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
 _NETWORK_KEYS = {"file", "n_households", "n_firms", "invest_spread", "labor_spread", "seed"}
 _SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed",
-                    "labor_deterministic", "initial", "initial_spread"}
+                    "initial", "initial_spread"}
 
 
 def _float(section, key, raw, default=None):
@@ -85,9 +89,12 @@ def _float(section, key, raw, default=None):
             raise ConfigError(f"[{section}] is missing required key {key!r}")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw[key]!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw[key]!r} is not finite")
+    return value
 
 
 def _int(section, key, raw, default=None):
@@ -95,17 +102,6 @@ def _int(section, key, raw, default=None):
     if v != int(v):
         raise ConfigError(f"[{section}] {key} = {raw[key]!r} is not an integer")
     return int(v)
-
-
-def _bool(section, key, raw, default=False):
-    if key not in raw:
-        return default
-    text = raw[key].strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw[key]!r} is not a boolean")
 
 
 def _reject_unknown(section, raw, allowed):
@@ -245,7 +241,6 @@ def _parse_simulation(raw) -> tuple[SimulationConfig, str | float, float]:
         burn_in=_float("simulation", "burn_in", raw, 0.0),
         record_every=_float("simulation", "record_every", raw, 1.0),
         seed=_int("simulation", "seed", raw, 0),
-        labor_deterministic=_bool("simulation", "labor_deterministic", raw),
     )
     initial_text = raw.get("initial", "stationary").strip()
     if initial_text == "stationary":
@@ -257,8 +252,8 @@ def _parse_simulation(raw) -> tuple[SimulationConfig, str | float, float]:
             raise ConfigError(
                 f"[simulation] initial must be a number or 'stationary', got {initial_text!r}"
             ) from exc
-        if not initial > 0.0:
-            raise ConfigError("[simulation] initial must be positive")
+        if not 0.0 < initial < math.inf:
+            raise ConfigError("[simulation] initial must be positive and finite")
     spread = _float("simulation", "initial_spread", raw, 0.0)
     if not 0.0 <= spread < 1.0:
         raise ConfigError("[simulation] initial_spread must lie in [0, 1)")
@@ -281,6 +276,8 @@ def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
             grid = np.array([float(v) for v in text])
         except ValueError as exc:
             raise ConfigError("[sweep] values must be numbers") from exc
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("[sweep] values must be finite")
     else:
         start = _float("sweep", "start", raw)
         stop = _float("sweep", "stop", raw)
@@ -291,8 +288,8 @@ def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
     return parameter, grid
 
 
-def _apply_scenario_constraints(scenario, network_spec, sim: SimulationConfig,
-                                sim_raw) -> SimulationConfig:
+def _apply_scenario_constraints(scenario, network_spec,
+                                sim: SimulationConfig) -> SimulationConfig:
     """Check the network and pin the stepping choices a scenario presupposes."""
     if scenario in ("CompleteMarkets", "LaborOnlyRisk") and network_spec is not None \
             and "file" not in network_spec:
@@ -303,11 +300,7 @@ def _apply_scenario_constraints(scenario, network_spec, sim: SimulationConfig,
             if network_spec[key] != f:
                 raise ConfigError(
                     f"{scenario} requires {key} = n_firms ({f}), got {network_spec[key]}")
-    if scenario == "StaggeredWages" and not sim.labor_deterministic:
-        if "labor_deterministic" in (sim_raw or {}):
-            raise ConfigError(
-                "StaggeredWages means deterministic labor income;"
-                " remove labor_deterministic = false")
+    if scenario == "StaggeredWages":
         sim = replace(sim, labor_deterministic=True)
     return sim
 
@@ -326,8 +319,7 @@ def _build(raw_sections: dict) -> RunConfig:
     economy = _parse_economy(raw_sections["economy"])
     production = _parse_production(raw_sections["production"])
     network_spec = _parse_network(raw_sections.get("network"))
-    sim_raw = raw_sections.get("simulation")
-    simulation, initial, spread = _parse_simulation(sim_raw)
+    simulation, initial, spread = _parse_simulation(raw_sections.get("simulation"))
     sweep = _parse_sweep(raw_sections.get("sweep"))
 
     scenario = None
@@ -339,8 +331,7 @@ def _build(raw_sections: dict) -> RunConfig:
         if scenario is None:
             raise ConfigError(
                 f"[scenario] name must be one of {', '.join(SCENARIOS)}, got {name!r}")
-        simulation = _apply_scenario_constraints(
-            scenario, network_spec, simulation, sim_raw)
+        simulation = _apply_scenario_constraints(scenario, network_spec, simulation)
         if scenario != "EndogenousGrowthRelative" and network_spec is None:
             raise ConfigError(f"scenario {scenario} needs a [network] section")
 

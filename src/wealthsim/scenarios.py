@@ -257,13 +257,12 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("economy_params", economy_check))
 
     def euler_check():
-        gen = _stream(0, 0)
-        lam = 10.0 ** gen.uniform(-2.0, 4.0, 1000)
-        rho = params.a * pf.derivative(lam)
-        omega = params.a * (pf.value(lam) - lam * pf.derivative(lam))
-        lhs = rho * lam + omega
-        rhs = params.a * pf.value(lam)
-        err = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+        # the prices every step uses must pay out exactly a * g(ratio)
+        err = 0.0
+        for lam in (10.0 ** _stream(0, 0).uniform(-2.0, 4.0, 1000)).tolist():
+            state = market.clear(params, pf, lam)
+            rhs = params.a * pf.value(lam)
+            err = max(err, abs(state.capital_return * lam + state.wage - rhs) / abs(rhs))
         return (err < 1e-12, f"max relative error {err:.3e} over 1000 ratios")
 
     checks.append(_check("euler_identity", euler_check))

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteError,
     PriceUndefinedError,
 )
+from .market import _aggregate_drift, clear
 from .network import AllocationNetwork
 from .params import EconomyParams, ProductionFunction
 
@@ -152,18 +153,19 @@ def _firm_flow(alloc, spread, shocks):
     return (alloc @ shocks.T).T
 
 
-def _firm_shock_increment(p, params, net, gval, gslope, lam, shocks, dt,
-                          labor_deterministic):
+def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic):
     """One-step wealth change given realized firm shocks.
 
     Factor payments scale with the realized shock of each firm a
     household is exposed to; taxes apply to realized incomes and the
-    proceeds return as an equal per-household transfer.  ``shocks`` is
-    one draw ``(F,)`` or a block ``(K, F)`` of draws at the same state;
-    the result is ``(N,)`` or ``(K, N)``.
+    proceeds return as an equal per-household transfer.  ``state`` holds
+    the prices cleared at the current mean wealth.  ``shocks`` is one
+    draw ``(F,)`` or a block ``(K, F)`` of draws at the same state; the
+    result is ``(N,)`` or ``(K, N)``.
     """
     n = net.n_households
-    wage_unit = gval - lam * gslope
+    # the shocks carry the productivity a, so prices enter per unit of a
+    gslope, wage_unit = state.capital_return / params.a, state.wage / params.a
     cap_flow = _firm_flow(net.invest, net.invest_spread, shocks)
     if labor_deterministic:
         lab_flow = params.a * dt
@@ -195,8 +197,8 @@ def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
         raise PriceUndefinedError(f"mean wealth {lam} is not positive")
     shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
         else np.asarray(shocks, dtype=float)
-    return p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
-                                     lam, shocks, dt, labor_deterministic)
+    return p + _firm_shock_increment(p, params, net, clear(params, pf, lam), shocks, dt,
+                                     labor_deterministic)
 
 
 def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -217,8 +219,8 @@ def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     lam = p.mean()
     if not lam > 0.0:
         raise PriceUndefinedError(f"mean wealth {lam} is not positive")
-    rho = params.a * pf.derivative(lam)
-    omega = params.a * (pf.value(lam) - lam * pf.derivative(lam))
+    state = clear(params, pf, lam)
+    rho, omega = state.capital_return, state.wage
     ov = net.overlaps()
     ck = 1.0 - params.tau_k
     cl = 1.0 - params.tau_l
@@ -257,16 +259,15 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     lam = p.mean()
     if not lam > 0.0:
         raise PriceUndefinedError(f"mean wealth {lam} is not positive")
-    gval = pf.value(lam)
-    gslope = pf.derivative(lam)
+    state = clear(params, pf, lam)
 
     increments = np.empty((n_samples, n))
     chunk = max(1, (1 << 22) // max(f, 1))
     for block, start in enumerate(range(0, n_samples, chunk)):
         stop = min(start + chunk, n_samples)
         shocks = sample_firm_shocks((stop - start, f), params, dt, _stream(seed, block))
-        increments[start:stop] = _firm_shock_increment(p, params, net, gval, gslope, lam,
-                                                       shocks, dt, labor_deterministic)
+        increments[start:stop] = _firm_shock_increment(p, params, net, state, shocks, dt,
+                                                       labor_deterministic)
 
     empirical = np.cov(increments, rowvar=False) / dt
     analytic = analytic_noise_covariance(params, net, pf, p,
@@ -324,11 +325,11 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     lam0 = p.mean()
     if not lam0 > 0.0:
         raise PriceUndefinedError(f"initial mean wealth {lam0} is not positive")
-    rho0 = params.a * pf.derivative(lam0)
-    if params.s * (1.0 - params.tau_k) * rho0 * config.dt >= 0.1:
+    rho0 = clear(params, pf, lam0).capital_return
+    margin = params.s * (1.0 - params.tau_k) * rho0 * config.dt
+    if margin >= 0.1:
         raise ConfigError(
-            f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = "
-            f"{params.s * (1.0 - params.tau_k) * rho0 * config.dt:.3g} >= 0.1")
+            f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {margin:.3g} >= 0.1")
 
     def advance(p, step):
         lam = p.mean()
@@ -336,8 +337,8 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         shocks = sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
-        return p + _firm_shock_increment(p, params, net, pf.value(lam), pf.derivative(lam),
-                                         lam, shocks, config.dt, config.labor_deterministic)
+        return p + _firm_shock_increment(p, params, net, clear(params, pf, lam), shocks,
+                                         config.dt, config.labor_deterministic)
 
     times, snaps = _record(config, p, advance)
     return WealthPanel(
@@ -426,7 +427,7 @@ def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,
     def f(p):
         if not p > 0.0:
             raise PriceUndefinedError(f"mean wealth {p} left the positive domain")
-        return params.s * params.a * pf.value(p) - params.chi - params.nu * p
+        return _aggregate_drift(params, pf, p)
 
     times = np.linspace(0.0, steps * dt, steps + 1)
     path = np.empty(steps + 1)

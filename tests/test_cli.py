@@ -223,9 +223,10 @@ def test_threads_hint_never_changes_results(tmp_path, capsys, monkeypatch):
 
     assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
     assert "thread count" in capsys.readouterr().err
-    monkeypatch.setenv("WEALTHSIM_THREADS", "-3")
-    assert main(["simulate", "--config", cfg]) == 2
-    capsys.readouterr()
+    for env in ("-3", "abc"):
+        monkeypatch.setenv("WEALTHSIM_THREADS", env)
+        assert main(["simulate", "--config", cfg]) == 2
+        capsys.readouterr()
 
 
 def test_module_entry_point(tmp_path):

@@ -37,8 +37,9 @@ def test_overlap_statistics():
     # a household fully overlaps itself: diagonal is 1/spread exactly
     np.testing.assert_allclose(np.diag(ov.invest), 0.25, atol=1e-15)
     np.testing.assert_allclose(np.diag(ov.labor), 0.1, atol=1e-15)
-    assert ov.invest_mean == pytest.approx(0.25)
-    assert ov.labor_mean == pytest.approx(0.1)
+    invest_mean, _, labor_mean = net.overlap_means()
+    assert invest_mean == pytest.approx(0.25)
+    assert labor_mean == pytest.approx(0.1)
     np.testing.assert_allclose(ov.invest, ov.invest.T, atol=0)
     np.testing.assert_allclose(ov.labor, ov.labor.T, atol=0)
     assert np.all(ov.invest >= 0) and np.all(ov.labor >= 0) and np.all(ov.cross >= 0)

@@ -81,10 +81,13 @@ def test_invalid_technology_parameters():
 
 
 def test_value_rejects_nonpositive_ratio():
-    pf = CES(0.2, 0.7)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            pf.value(bad)
+    for pf in (CobbDouglas(0.3), CES(0.2, 0.7)):
+        for method in (pf.value, pf.derivative):
+            for good in (0.5, np.float64(2.0)):
+                assert type(method(good)) is float
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(DomainError):
+                    method(bad)
 
 
 def test_economy_params_validation():

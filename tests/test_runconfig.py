@@ -69,12 +69,10 @@ def test_inline_comments_and_types(tmp_path):
         t_end = 50
         initial = 3.5
         initial_spread = 0.2
-        labor_deterministic = yes
         """)
     assert cfg.economy.s == 0.25
     assert cfg.economy.nu == 0.04
     assert cfg.production == CES(0.2, 0.7)
-    assert cfg.simulation.labor_deterministic is True
     assert cfg.initial == 3.5
     assert cfg.initial_spread == 0.2
 
@@ -171,6 +169,10 @@ def test_unknown_keys_and_sections(tmp_path):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, MINIMAL + "\n[simulation]\nscheme = milstein\n")
     assert "scheme" in str(err.value)
+    # deterministic labor comes with StaggeredWages, not from a key
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, MINIMAL + "\n[simulation]\nlabor_deterministic = yes\n")
+    assert "labor_deterministic" in str(err.value)
 
 
 def test_scenario_pins_network_spreads(tmp_path):
@@ -242,13 +244,16 @@ def test_sweep_values_and_grid(tmp_path):
     for tail in ("parameter = alpha\nvalues = 1 2",
                  "parameter = nu\nvalues =",
                  "parameter = nu\nstart = 0.1\nstop = 0.5\ncount = 0",
-                 "parameter = nu\nvalues = a b"):
+                 "parameter = nu\nstart = 0.1\nstop = 0.5\ncount = nan",
+                 "parameter = nu\nvalues = a b",
+                 "parameter = theta_bar\nvalues = 1 inf"):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + "\n[sweep]\n" + tail + "\n")
 
 
 def test_initial_parsing_errors(tmp_path):
-    for line in ("initial = soup", "initial = -2", "initial_spread = 1.0"):
+    for line in ("initial = soup", "initial = -2", "initial = inf", "initial_spread = 1.0",
+                 "seed = nan", "t_end = inf", "record_every = inf"):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + "\n[simulation]\n" + line + "\n")
 
@@ -304,3 +309,8 @@ def test_build_network_from_spec(tmp_path):
     bare = _load(tmp_path, MINIMAL)
     with pytest.raises(ConfigError):
         bare.build_network()
+    for value in ("nan", "inf"):
+        with pytest.raises(ConfigError):
+            _load(tmp_path, MINIMAL + "\n[network]\n"
+                  f"n_households = {value}\nn_firms = 10\n"
+                  "invest_spread = 2\nlabor_spread = 5\n")

@@ -1,5 +1,6 @@
 """Scenario drivers: summaries, artifacts, and the check suite."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import P_BAR_STAR
-from wealthsim import config_from_dict, load_config, run_scenario, validate_checks
+from wealthsim import config_from_dict, load_config, market, run_scenario, validate_checks
 from wealthsim.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -200,6 +201,22 @@ def test_validate_checks_pass_on_shipped_config(name):
     assert _SHIPPED_TARGETS[name] in checks[4]["detail"]
     if name == "incomplete_markets":
         assert "no growth transition" in checks[5]["detail"]
+
+
+def test_euler_check_tests_the_prices_every_step_uses(monkeypatch):
+    # a wage off by a relative 1e-6 in market.clear must fail the check
+    cfg = config_from_dict({"economy": _BENCH_ECONOMY, "production": _CD})
+    honest = market.clear
+
+    def skewed(params, pf, mean_wealth):
+        state = honest(params, pf, mean_wealth)
+        return dataclasses.replace(state, wage=state.wage * (1.0 + 1e-6))
+
+    assert {c["name"]: c for c in validate_checks(cfg)}["euler_identity"]["passed"]
+    monkeypatch.setattr(market, "clear", skewed)
+    euler = {c["name"]: c for c in validate_checks(cfg)}["euler_identity"]
+    assert not euler["passed"]
+    assert "max relative error" in euler["detail"]
 
 
 def test_validate_checks_degenerate_branches():

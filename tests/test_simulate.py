@@ -15,6 +15,7 @@ from wealthsim import (
     SimulationConfig,
     build_regular,
     classify_regime,
+    clear,
     integrate_mean_field,
     run_absolute,
     run_relative_growth,
@@ -165,17 +166,16 @@ def test_increment_shortcuts_match_general_path():
     gen = _stream(13, 0)
     wealth = P_BAR_STAR * (1.0 + 0.3 * gen.uniform(-1.0, 1.0, n))
     block = sample_firm_shocks((k, f), params, dt, gen)
-    lam = wealth.mean()
-    gval, gslope = pf.value(lam), pf.derivative(lam)
+    state = clear(params, pf, wealth.mean())
     for labor_deterministic in (False, True):
         for shocks in (block[0], None):
             a = step_absolute(wealth, params, uniform, pf, shocks, dt, labor_deterministic)
             b = step_absolute(wealth, params, general, pf, shocks, dt, labor_deterministic)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
         for net in (uniform, general, mixed):
-            batched = _firm_shock_increment(wealth, params, net, gval, gslope, lam,
+            batched = _firm_shock_increment(wealth, params, net, state,
                                             block, dt, labor_deterministic)
-            single = [_firm_shock_increment(wealth, params, net, gval, gslope, lam,
+            single = [_firm_shock_increment(wealth, params, net, state,
                                             row, dt, labor_deterministic) for row in block]
             assert batched.shape == (k, n)
             np.testing.assert_allclose(batched, np.array(single), rtol=1e-12, atol=0.0)
