@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,6 +107,16 @@ class AllocationNetwork:
         enforcing a cap.
         """
         return float(np.max(np.asarray(self.invest.sum(axis=0)).ravel()))
+
+    @cached_property
+    def flow_rows(self) -> sp.csr_matrix:
+        """Invest rows over labor rows as one (2N, F) CSR, built on first use.
+
+        One product with a firm shock gives both channels' firm flows.
+        The stepping kernel uses it only when neither channel is spread
+        over every firm, so such a channel never enters a product.
+        """
+        return sp.vstack([self.invest, self.labor], format="csr")
 
     def overlap_means(self) -> tuple[float, float, float]:
         """Diagonal means of the invest, cross and labor overlap matrices.

@@ -9,7 +9,8 @@ divided by its growing mean along a sustained-growth path.
 
 Randomness is counter-based: step n of a run draws from a dedicated
 Philox stream keyed by (seed, n), so trajectories are reproducible and
-independent of how the work is scheduled.
+independent of how the work is scheduled.  One generator is reset to
+each stream rather than rebuilt, with the same draws.
 """
 
 from __future__ import annotations
@@ -89,12 +90,15 @@ class WealthPanel:
     snapshots  (n_snapshots, n_households) wealth levels
     kind       'absolute' or 'relative'
     metadata   full echo of the inputs that produced the panel
+    counters   what an absolute run did: steps taken and the largest
+               stability-guard value s*(1-tau_k)*return*dt
     """
 
     times: np.ndarray
     snapshots: np.ndarray
     kind: str
     metadata: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
 
     def mean_path(self) -> np.ndarray:
         return self.snapshots.mean(axis=1)
@@ -107,22 +111,43 @@ class WealthPanel:
 
     def to_csv(self, path):
         """Long-form CSV ``t,household_id,wealth`` at full precision."""
-        row = "%.17g,%d,%.17g\n"
         with open(path, "w") as fh:
             fh.write("t,household_id,wealth\n")
             # a bounded block of rows per write keeps the formatted text
-            # small whatever the number of households
+            # small whatever the number of households; the time prefix is
+            # formatted once per snapshot and one % formats a whole block
             for t, snap in zip(self.times.tolist(), self.snapshots):
+                row = "%.17g" % t + ",%d,%.17g\n"
                 for lo in range(0, snap.size, _CSV_BLOCK):
                     block = snap[lo:lo + _CSV_BLOCK].tolist()
-                    fh.write("".join([row % (t, i, w) for i, w in enumerate(block, lo)]))
+                    fields = [None] * (2 * len(block))
+                    fields[::2] = range(lo, lo + len(block))
+                    fields[1::2] = block
+                    fh.write(row * len(block) % tuple(fields))
+
+
+_KEY = np.zeros(2, dtype=np.uint64)
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_STREAM_STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER, "key": _KEY},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+_GENERATOR = np.random.Generator(np.random.Philox(key=0))
 
 
 def _stream(seed: int, step: int) -> np.random.Generator:
-    # one Philox block of 2**192 draws per step index: streams never overlap
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = np.uint64(step)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+    """The Philox stream of ``(seed, step)``, valid until the next call.
+
+    One Philox block of 2**192 draws per step index, so streams never
+    overlap.  A single generator is reset to the stream's key and counter
+    with empty buffers, which draws exactly what a freshly built
+    ``Philox(key=seed, counter=[0, 0, 0, step])`` would, without the
+    cost of building one.  The generator is shared by the whole process,
+    so no caller may hold two streams at once or draw from two threads.
+    """
+    _KEY[0] = seed
+    _COUNTER[3] = step
+    _GENERATOR.bit_generator.state = _STREAM_STATE
+    return _GENERATOR
 
 
 def sample_firm_shocks(n_firms: int | tuple[int, int], params: EconomyParams, dt: float,
@@ -138,19 +163,32 @@ def sample_firm_shocks(n_firms: int | tuple[int, int], params: EconomyParams, dt
     mean = params.a * dt
     if params.delta == 0.0:
         return np.full(n_firms, mean)
-    return mean + params.a * math.sqrt(params.delta * dt) * rng.standard_normal(n_firms)
+    draws = rng.standard_normal(n_firms)
+    draws *= params.a * math.sqrt(params.delta * dt)
+    draws += mean
+    return draws
 
 
-def _firm_flow(alloc, spread, shocks):
-    """``alloc @ shock`` per household for a draw ``(F,)`` or a block ``(K, F)``.
+def _firm_flows(net, shocks, labor):
+    """``invest @ shock`` and, with ``labor``, ``labor @ shock`` per household
+    (else None), for a draw ``(F,)`` or a block ``(K, F)``.
 
     Rows spread evenly over every firm all see the firm mean, which
-    costs O(F) instead of O(N*F).
+    costs O(F) instead of O(N*F).  When both channels need a sparse
+    product they share one over the stacked rows ``net.flow_rows``.
     """
-    n, f = alloc.shape
-    if spread == f:
-        return np.broadcast_to(shocks.mean(axis=-1)[..., None], shocks.shape[:-1] + (n,))
-    return (alloc @ shocks.T).T
+    n, f = net.n_households, net.n_firms
+    if net.invest_spread != f and labor and net.labor_spread != f:
+        both = (net.flow_rows @ shocks.T).T
+        return both[..., :n], both[..., n:]
+
+    def flow(alloc, spread):
+        if spread == f:
+            return np.broadcast_to(shocks.mean(axis=-1)[..., None], shocks.shape[:-1] + (n,))
+        return (alloc @ shocks.T).T
+
+    return flow(net.invest, net.invest_spread), \
+        flow(net.labor, net.labor_spread) if labor else None
 
 
 def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic):
@@ -166,20 +204,29 @@ def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic
     n = net.n_households
     # the shocks carry the productivity a, so prices enter per unit of a
     gslope, wage_unit = state.capital_return / params.a, state.wage / params.a
-    cap_flow = _firm_flow(net.invest, net.invest_spread, shocks)
+    cap_flow, lab_flow = _firm_flows(net, shocks, not labor_deterministic)
     if labor_deterministic:
         lab_flow = params.a * dt
         lab_total = n * lab_flow
     else:
-        lab_flow = _firm_flow(net.labor, net.labor_spread, shocks)
         lab_total = lab_flow.sum(axis=-1)
     # taxed capital income sums to p @ (invest @ shocks), taxed wages to
     # the labor-weighted firm shocks; the pool is shared equally
     pool = params.tau_k * gslope * (cap_flow @ p) + params.tau_l * wage_unit * lab_total
-    return (params.s * ((1.0 - params.tau_k) * gslope * p * cap_flow
-                        + (1.0 - params.tau_l) * wage_unit * lab_flow
-                        + (pool / n)[..., None])
-            - (params.chi + params.nu * p) * dt)
+    # s * ((1-tau_k)*gslope*p*cap + (1-tau_l)*wage_unit*lab + pool/n) - (chi + nu*p)*dt
+    # in one buffer and one scratch, operation by operation in the order
+    # that expression rounds in, so same-seed panels stay bit-identical
+    out = np.multiply(p, (1.0 - params.tau_k) * gslope, out=np.empty(cap_flow.shape))
+    out *= cap_flow
+    scratch = np.multiply(lab_flow, (1.0 - params.tau_l) * wage_unit, out=np.empty_like(out))
+    out += scratch
+    out += (pool / n)[..., None]
+    out *= params.s
+    np.multiply(p, params.nu, out=scratch)
+    scratch += params.chi
+    scratch *= dt
+    out -= scratch
+    return out
 
 
 def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
@@ -287,21 +334,27 @@ def _panel_metadata(config, params, pf, extra=None):
 
 
 def _record(config: SimulationConfig, state: np.ndarray, advance):
-    """Step ``state`` through ``advance(state, step)`` and keep the snapshots.
+    """Step ``state`` through ``advance(state, step, mean)`` and keep the snapshots.
 
-    The state is recorded at t=0 when there is no burn-in, then every
-    ``record_every`` from ``burn_in`` on.  A state that stops being
-    finite raises NonFiniteError carrying the step index.  Returns the
-    recording times and the stacked snapshots.
+    ``mean`` is the mean of the state handed in, the one reduction per
+    step.  It doubles as the finiteness check: a finite mean means every
+    entry is finite, so only a non-finite mean costs a scan, and a state
+    with a non-finite entry raises NonFiniteError carrying the step
+    index.  The state is recorded at t=0 when there is no burn-in, then
+    every ``record_every`` from ``burn_in`` on.  Returns the recording
+    times and the stacked snapshots.
     """
     steps_total, burn_steps, rec_steps = config.step_counts()
     times, snaps = [], []
     if burn_steps == 0:
         times.append(0.0)
         snaps.append(state.copy())
+    # sum / size is exactly what ndarray.mean computes, without its overhead
+    mean = state.sum() / state.size
     for step in range(1, steps_total + 1):
-        state = advance(state, step)
-        if not np.all(np.isfinite(state)):
+        state = advance(state, step, mean)
+        mean = state.sum() / state.size
+        if not math.isfinite(mean) and not np.all(np.isfinite(state)):
             raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
         if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
             times.append(step * config.dt)
@@ -316,7 +369,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
 
     Prices are recomputed from current mean wealth each step.  The run
     aborts if mean wealth turns non-positive or any state stops being
-    finite; both errors carry the offending step index.
+    finite; both errors carry the offending step index.  The stability
+    guard ``s*(1-tau_k)*return*dt < 0.1`` is enforced at t=0; its
+    largest value over the run is kept in ``counters["dt_guard_max"]``.
     """
     p = np.array(initial, dtype=float)
     n, f = net.n_households, net.n_firms
@@ -325,20 +380,24 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     lam0 = p.mean()
     if not lam0 > 0.0:
         raise PriceUndefinedError(f"initial mean wealth {lam0} is not positive")
-    rho0 = clear(params, pf, lam0).capital_return
-    margin = params.s * (1.0 - params.tau_k) * rho0 * config.dt
-    if margin >= 0.1:
+    saved = params.s * (1.0 - params.tau_k)
+    dt_guard_max = saved * clear(params, pf, lam0).capital_return * config.dt
+    if dt_guard_max >= 0.1:
         raise ConfigError(
-            f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {margin:.3g} >= 0.1")
+            f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
 
-    def advance(p, step):
-        lam = p.mean()
+    def advance(p, step, lam):
+        nonlocal dt_guard_max
         if not lam > 0.0:
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
+        state = clear(params, pf, lam)
+        dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
         shocks = sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
-        return p + _firm_shock_increment(p, params, net, clear(params, pf, lam), shocks,
-                                         config.dt, config.labor_deterministic)
+        inc = _firm_shock_increment(p, params, net, state, shocks, config.dt,
+                                    config.labor_deterministic)
+        inc += p
+        return inc
 
     times, snaps = _record(config, p, advance)
     return WealthPanel(
@@ -350,6 +409,7 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
                         "invest_spread": net.invest_spread,
                         "labor_spread": net.labor_spread},
         }),
+        counters={"steps": config.step_counts()[0], "dt_guard_max": dt_guard_max},
     )
 
 
@@ -388,7 +448,7 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     decay = math.exp(-0.5 * revert * config.dt)
     sq = math.sqrt(config.dt)
 
-    def advance(u, step):
+    def advance(u, step, _mean):
         dw = sq * _stream(config.seed, step).standard_normal(u.shape[0])
         u = 1.0 + (u - 1.0) * decay
         u = u * np.exp(sigma * dw - 0.5 * sigma * sigma * config.dt)

@@ -219,6 +219,66 @@ def test_euler_check_tests_the_prices_every_step_uses(monkeypatch):
     assert "max relative error" in euler["detail"]
 
 
+def _noise_covariance(cfg):
+    return {c["name"]: c for c in validate_checks(cfg)}["noise_covariance"]
+
+
+def test_noise_covariance_check_passes_on_two_firm_probe():
+    # 20 000 samples on a network of two-firm rows: a relative-gap bound
+    # reads sampling noise as a model error here, the standard errors do not
+    cfg = _config({**_BENCH_ECONOMY, "delta": "700"}, _CD,
+                  {"n_households": "20", "n_firms": "10",
+                   "invest_spread": "2", "labor_spread": "2", "seed": "7"},
+                  {"dt": "0.1", "t_end": "200", "burn_in": "20",
+                   "record_every": "10", "seed": "2", "initial": "stationary"},
+                  "IncompleteMarkets")
+    check = _noise_covariance(cfg)
+    assert check["passed"], check["detail"]
+
+
+def test_noise_covariance_check_catches_a_five_percent_error(monkeypatch):
+    from wealthsim import scenarios
+
+    sampled = scenarios.empirical_noise_covariance
+
+    def off_by_five_percent(*args, **kwargs):
+        emp, ana = sampled(*args, **kwargs)
+        return emp, 1.05 * ana
+
+    cfg = load_config(CONFIG_DIR / "incomplete_markets.ini")
+    monkeypatch.setattr(scenarios, "empirical_noise_covariance", off_by_five_percent)
+    check = _noise_covariance(cfg)
+    assert not check["passed"]
+    assert "standard errors" in check["detail"]
+
+
+def _guard_at(cfg, mean_wealth):
+    params = dataclasses.replace(cfg.economy, delta=0.0)
+    rho = market.clear(params, cfg.production, mean_wealth).capital_return
+    return params.s * (1.0 - params.tau_k) * rho * cfg.simulation.dt
+
+
+def test_dt_guard_counter_is_flat_at_a_constant_mean():
+    cfg = dataclasses.replace(load_config(CONFIG_DIR / "complete_markets.ini"),
+                              initial_spread=0.0)
+    summary = run_scenario(cfg)
+    assert summary["counters"]["steps"] == 1600
+    start = _guard_at(cfg, summary["regime"]["mean_wealth"])
+    assert summary["counters"]["dt_guard_max"] == pytest.approx(start, rel=1e-12)
+
+
+def test_dt_guard_counter_rises_as_mean_wealth_falls():
+    # the shipped initial spread draws a mean 0.07% above the fixed point,
+    # so the mean falls all run long and the return, with the guard, rises
+    cfg = load_config(CONFIG_DIR / "complete_markets.ini")
+    summary = run_scenario(cfg)
+    path = summary["mean_path"]
+    assert np.all(np.diff(path) < 0.0)
+    start = _guard_at(cfg, path[0])
+    assert summary["counters"]["dt_guard_max"] > start * (1.0 + 1e-4)
+    assert summary["counters"]["dt_guard_max"] < _guard_at(cfg, path[-1]) * (1.0 + 1e-9)
+
+
 def test_validate_checks_degenerate_branches():
     quiet = config_from_dict({
         "economy": {**_BENCH_ECONOMY, "delta": "0"},

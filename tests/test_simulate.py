@@ -22,10 +22,12 @@ from wealthsim import (
     sample_firm_shocks,
     step_absolute,
 )
+from wealthsim import simulate
 from wealthsim.errors import (
     ConfigError,
     DegenerateDynamicsError,
     DomainError,
+    NonFiniteError,
     PriceUndefinedError,
 )
 from wealthsim.simulate import (
@@ -64,6 +66,29 @@ def test_streams_are_reproducible_and_disjoint():
     d = _stream(4, 17).standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _fresh(seed, step):
+    counter = np.array([0, 0, 0, step], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+
+
+@pytest.mark.parametrize("method, args", [("standard_normal", (7,)),
+                                          ("uniform", (-1.0, 1.0, 7)),
+                                          ("lognormal", (0.0, 2.0, 7))])
+def test_stream_matches_a_fresh_generator(method, args):
+    # each stream starts clean, whatever the one before it left in its
+    # buffers: half a uint32, a partly used Philox block, another seed
+    steps = (0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+    seeds = (0, 3, 2 ** 64 - 1)
+    for step in steps:
+        for seed in seeds:
+            _stream(seeds[-1 - seeds.index(seed)], step).integers(0, 10, 3, dtype=np.uint32)
+            got = getattr(_stream(seed, step), method)(*args)
+            want = getattr(_fresh(seed, step), method)(*args)
+            np.testing.assert_array_equal(got, want)
+            _stream(seed, step).standard_normal(3)
+            np.testing.assert_array_equal(getattr(_stream(seed, step), method)(*args), want)
 
 
 def test_firm_shock_moments():
@@ -282,12 +307,47 @@ def test_zero_noise_deviations_decay_geometrically():
 
 def test_run_absolute_failure_reports_step():
     params, net, pf = _benchmark_setup()
-    # subsistence far above income drives mean wealth negative quickly
-    harsh = dataclasses.replace(params, chi=5.0)
     cfg = SimulationConfig(dt=0.5, t_end=50.0, record_every=1.0)
-    with pytest.raises(PriceUndefinedError) as err:
-        run_absolute(cfg, harsh, net, pf, np.full(20, 1.0))
-    assert err.value.step is not None and err.value.step > 0
+    # subsistence far above income drives mean wealth negative quickly,
+    # a milder one after some noisy steps; both steps are pinned exactly
+    for chi, step in ((5.0, 2), (0.3, 18)):
+        with pytest.raises(PriceUndefinedError) as err:
+            run_absolute(cfg, dataclasses.replace(params, chi=chi), net, pf, np.full(20, 1.0))
+        assert err.value.step == step
+
+
+def test_non_finite_absolute_state_keeps_its_exact_step(monkeypatch):
+    kernel, calls = simulate._firm_shock_increment, []
+
+    def poisoned(*args):
+        out = kernel(*args)
+        calls.append(None)
+        if len(calls) == 7:
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(simulate, "_firm_shock_increment", poisoned)
+    params, net, pf = _benchmark_setup()
+    cfg = SimulationConfig(dt=0.5, t_end=20.0, record_every=5.0, seed=2)
+    with pytest.raises(NonFiniteError) as err:
+        run_absolute(cfg, params, net, pf, np.full(20, P_BAR_STAR))
+    assert err.value.step == 7
+
+
+def test_non_finite_relative_state_keeps_its_exact_step(monkeypatch):
+    stream = simulate._stream
+
+    class Poisoned:
+        def standard_normal(self, size):
+            return np.full(size, np.inf)
+
+    monkeypatch.setattr(simulate, "_stream",
+                        lambda seed, step: Poisoned() if step == 5 else stream(seed, step))
+    params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=10.0)
+    cfg = SimulationConfig(dt=0.25, t_end=10.0, record_every=1.0, seed=4)
+    with pytest.raises(NonFiniteError) as err:
+        run_relative_growth(cfg, params, 1.0, RHO_INF, np.ones(30))
+    assert err.value.step == 5
 
 
 def test_run_absolute_stability_guard():
