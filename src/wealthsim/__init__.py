@@ -55,7 +55,6 @@ from .network import (
     OverlapStats,
     build_heterogeneous,
     build_regular,
-    firm_inputs,
     load_network,
     save_network,
 )
@@ -77,7 +76,6 @@ from .tails import (
     TailEstimate,
     ccdf_loglog,
     hill,
-    hill_sensitivity,
     ks_distance,
     moments,
     write_ccdf_table,
@@ -101,7 +99,7 @@ __all__ = [
     "stationary_roots",
     # network
     "AllocationNetwork", "OverlapStats", "build_heterogeneous",
-    "build_regular", "firm_inputs", "load_network", "save_network",
+    "build_regular", "load_network", "save_network",
     # params
     "CES", "CobbDouglas", "EconomyParams", "ProductionFunction",
     "validate_params",
@@ -113,7 +111,7 @@ __all__ = [
     "empirical_noise_covariance", "integrate_mean_field", "run_absolute",
     "run_relative_growth", "sample_firm_shocks", "step_absolute",
     # sample statistics
-    "TailEstimate", "ccdf_loglog", "hill", "hill_sensitivity", "ks_distance",
+    "TailEstimate", "ccdf_loglog", "hill", "ks_distance",
     "moments", "write_ccdf_table",
 ]
 

@@ -210,11 +210,6 @@ class InverseGammaDensity(_Density):
         self.tail_exponent = float(shape)
         self._log_norm = shape * math.log(rate) - gammaln(shape)
 
-    def mean(self) -> float:
-        if self.shape <= 1.0:
-            return math.inf
-        return self.rate / (self.shape - 1.0)
-
     def log_pdf(self, x):
         arr = np.asarray(x, dtype=float)
         safe = np.where(arr > 0.0, arr, 1.0)
@@ -385,22 +380,6 @@ class PearsonType4Density(_Density):
         t = self._quantile_interp(np.clip(arr, lo, hi))
         out = self._wealth(t)
         return out if out.ndim else float(out)
-
-    def mean(self) -> float:
-        """Numerical mean; finite only when the tail exponent exceeds 1.
-        Accuracy degrades as the exponent approaches 1 from above, where
-        the mean is dominated by ever more extreme tail wealth."""
-        if self.tail_exponent <= 1.0:
-            return math.inf
-        total, shift = _cumulative_exp_integral(self._log_core, self._grid)
-        a, b = self._grid[:-1], self._grid[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        logv = self._log_core(pts.ravel()).reshape(pts.shape)
-        wealth = self._wealth(pts.ravel()).reshape(pts.shape)
-        pieces = half * ((np.exp(logv - shift) * wealth) @ _GL_WEIGHTS)
-        return float(np.sum(pieces) / total[-1])
 
 
 def stationary_density(coeffs: MeanFieldCoeffs):

@@ -72,7 +72,7 @@ def _aggregate_drift(params, pf, p):
     return params.s * params.a * pf.value(p) - params.chi - params.nu * p
 
 
-def _expand_upper(params, pf, lo, hi_start=1e6, cap=1e280):
+def _expand_upper(params, pf, hi_start=1e6, cap=1e280):
     hi = hi_start
     while _aggregate_drift(params, pf, hi) >= 0.0:
         hi *= 10.0
@@ -123,7 +123,7 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
             lo /= 100.0
             if lo < 1e-250:
                 raise NoStationaryStateError("could not bracket the fixed point from below")
-        hi = _expand_upper(params, pf, lo)
+        hi = _expand_upper(params, pf)
         stable = brentq(drift, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
         return float(stable), None
 
@@ -135,7 +135,7 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
             "aggregate wealth collapses for any initial condition")
     if drift(peak) == 0.0:
         return float(peak), float(peak)
-    hi = _expand_upper(params, pf, peak)
+    hi = _expand_upper(params, pf)
     stable = brentq(drift, peak, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
     lo = peak
     while drift(lo) >= 0.0:

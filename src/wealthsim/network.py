@@ -98,16 +98,6 @@ class AllocationNetwork:
             raise DomainError(f"wealth vector must have length {self.n_households}")
         return self.invest.T @ w
 
-    @property
-    def max_invest_load(self) -> float:
-        """Largest column sum of the investment matrix.
-
-        A bounded load is the technical condition for household shocks to
-        wash out of aggregates; the builder reports it rather than
-        enforcing a cap.
-        """
-        return float(np.max(np.asarray(self.invest.sum(axis=0)).ravel()))
-
     @cached_property
     def flow_rows(self) -> sp.csr_matrix:
         """Invest rows over labor rows as one (2N, F) CSR, built on first use.
@@ -132,17 +122,17 @@ class AllocationNetwork:
                 mean_diag(self.labor, self.labor))
 
     def overlaps(self) -> OverlapStats:
-        """Dense pairwise overlaps: three N x N matrices, for small N only."""
+        """Dense pairwise overlaps: three N x N matrices, for small N only.
+
+        No simulation or check calls it.  It is the dense reference that
+        the tests compare ``overlap_means`` against, and the benchmark's
+        tracer still counts its calls and dense bytes.
+        """
         return OverlapStats(
             invest=(self.invest @ self.invest.T).toarray(),
             cross=(self.invest @ self.labor.T).toarray(),
             labor=(self.labor @ self.labor.T).toarray(),
         )
-
-
-def firm_inputs(net: AllocationNetwork, wealth) -> tuple[np.ndarray, np.ndarray]:
-    """Capital and labor absorbed by each firm."""
-    return net.firm_capital(wealth), net.firm_labor()
 
 
 def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):

@@ -16,7 +16,7 @@ each stream rather than rebuilt, with the same draws.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,16 +88,12 @@ class WealthPanel:
 
     times      (n_snapshots,) recording times
     snapshots  (n_snapshots, n_households) wealth levels
-    kind       'absolute' or 'relative'
-    metadata   full echo of the inputs that produced the panel
     counters   what an absolute run did: steps taken and the largest
                stability-guard value s*(1-tau_k)*return*dt
     """
 
     times: np.ndarray
     snapshots: np.ndarray
-    kind: str
-    metadata: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
     def mean_path(self) -> np.ndarray:
@@ -229,6 +225,17 @@ def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic
     return out
 
 
+def _frozen_state(params, net, pf, wealth):
+    """Wealth as an array and the prices cleared at its mean."""
+    p = np.asarray(wealth, dtype=float)
+    if p.shape != (net.n_households,):
+        raise DomainError(f"wealth vector must have length {net.n_households}")
+    lam = p.mean()
+    if not lam > 0.0:
+        raise PriceUndefinedError(f"mean wealth {lam} is not positive")
+    return p, clear(params, pf, lam)
+
+
 def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
                   pf: ProductionFunction, shocks, dt: float,
                   labor_deterministic: bool = False) -> np.ndarray:
@@ -236,16 +243,10 @@ def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
 
     ``shocks=None`` applies the mean flow ``a * dt`` at every firm.
     """
-    p = np.asarray(state, dtype=float)
-    if p.shape != (net.n_households,):
-        raise DomainError(f"state must have length {net.n_households}")
-    lam = p.mean()
-    if not lam > 0.0:
-        raise PriceUndefinedError(f"mean wealth {lam} is not positive")
+    p, prices = _frozen_state(params, net, pf, state)
     shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
         else np.asarray(shocks, dtype=float)
-    return p + _firm_shock_increment(p, params, net, clear(params, pf, lam), shocks, dt,
-                                     labor_deterministic)
+    return p + _firm_shock_increment(p, params, net, prices, shocks, dt, labor_deterministic)
 
 
 def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -253,40 +254,26 @@ def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
                               labor_deterministic: bool = False) -> np.ndarray:
     """Per-unit-time covariance of the wealth noise at a frozen state.
 
-    The entries combine pairwise portfolio overlaps weighted by wealth
-    and labor exposures, the covariance of each household's income with
-    the common redistribution transfer, and the variance of the transfer
-    itself.  With deterministic labor income only the capital channels
-    remain.  The increment is linear in the Gaussian firm shocks, so at
-    a frozen state it is exactly Gaussian with this covariance times dt;
+    A shock to firm j moves household i's wealth by ``s/a`` times
+    ``load[i, j]``: its after-tax capital income ``(1-tau_k)*rho*p_i*invest_ij``
+    and wage ``(1-tau_l)*omega*labor_ij`` from the firm, plus an equal share
+    ``(tau_k*rho*K_j + tau_l*omega*L_j)/N`` of the taxes on the firm's
+    payouts.  Firm shocks are independent with variance ``a**2 * delta``
+    per unit time, so the covariance is ``delta * s**2 * load @ load.T``.
+    With deterministic labor income both wage terms drop out.  The
+    increment is linear in the Gaussian firm shocks, so at a frozen state
+    it is exactly Gaussian with this covariance times dt;
     ``empirical_noise_covariance`` samples it through the stepping kernel.
     """
-    p = np.asarray(wealth, dtype=float)
-    n = net.n_households
-    lam = p.mean()
-    if not lam > 0.0:
-        raise PriceUndefinedError(f"mean wealth {lam} is not positive")
-    state = clear(params, pf, lam)
+    p, state = _frozen_state(params, net, pf, wealth)
     rho, omega = state.capital_return, state.wage
-    ov = net.overlaps()
-    ck = 1.0 - params.tau_k
-    cl = 1.0 - params.tau_l
-    base = params.delta * params.s ** 2
-
-    H = ck ** 2 * rho ** 2 * np.outer(p, p) * ov.invest
-    if labor_deterministic:
-        transfer_rate = params.tau_k * rho
-        agg = ck * rho * p * (ov.invest @ p)
-    else:
-        H = H + cl ** 2 * omega ** 2 * ov.labor
-        cross = p[:, None] * ov.cross
-        H = H + ck * cl * rho * omega * (cross + cross.T)
-        transfer_rate = params.tau_k * rho + params.tau_l * omega / lam
-        agg = ck * rho * p * (ov.invest @ p) + cl * omega * (ov.cross @ p)
-    H = H + (transfer_rate / n) * (agg[:, None] + agg[None, :])
-    k = net.firm_capital(p)
-    H = H + (transfer_rate / n) ** 2 * np.sum(k * k)
-    return base * H
+    load = ((1.0 - params.tau_k) * rho * p)[:, None] * net.invest.toarray()
+    transfer = params.tau_k * rho * net.firm_capital(p)
+    if not labor_deterministic:
+        load += (1.0 - params.tau_l) * omega * net.labor.toarray()
+        transfer += params.tau_l * omega * net.firm_labor()
+    load += transfer / net.n_households
+    return params.delta * params.s ** 2 * (load @ load.T)
 
 
 def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -299,14 +286,10 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     increments without ever moving the state, and returns the increment
     covariance divided by dt next to its analytic counterpart.
     """
-    p = np.asarray(wealth, dtype=float)
-    n, f = net.n_households, net.n_firms
     if n_samples < 2:
         raise DomainError("need at least two samples for a covariance")
-    lam = p.mean()
-    if not lam > 0.0:
-        raise PriceUndefinedError(f"mean wealth {lam} is not positive")
-    state = clear(params, pf, lam)
+    p, state = _frozen_state(params, net, pf, wealth)
+    n, f = net.n_households, net.n_firms
 
     increments = np.empty((n_samples, n))
     chunk = max(1, (1 << 22) // max(f, 1))
@@ -320,17 +303,6 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     analytic = analytic_noise_covariance(params, net, pf, p,
                                          labor_deterministic=labor_deterministic)
     return empirical, analytic
-
-
-def _panel_metadata(config, params, pf, extra=None):
-    meta = {
-        "config": asdict(config),
-        "params": asdict(params),
-        "production": {"kind": type(pf).__name__, **asdict(pf)},
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _record(config: SimulationConfig, state: np.ndarray, advance):
@@ -373,15 +345,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     guard ``s*(1-tau_k)*return*dt < 0.1`` is enforced at t=0; its
     largest value over the run is kept in ``counters["dt_guard_max"]``.
     """
-    p = np.array(initial, dtype=float)
-    n, f = net.n_households, net.n_firms
-    if p.shape != (n,):
-        raise DomainError(f"initial state must have length {n}")
-    lam0 = p.mean()
-    if not lam0 > 0.0:
-        raise PriceUndefinedError(f"initial mean wealth {lam0} is not positive")
+    p, prices = _frozen_state(params, net, pf, np.array(initial, dtype=float))
     saved = params.s * (1.0 - params.tau_k)
-    dt_guard_max = saved * clear(params, pf, lam0).capital_return * config.dt
+    dt_guard_max = saved * prices.capital_return * config.dt
     if dt_guard_max >= 0.1:
         raise ConfigError(
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
@@ -393,7 +359,7 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         state = clear(params, pf, lam)
         dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
-        shocks = sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
+        shocks = sample_firm_shocks(net.n_firms, params, config.dt, _stream(config.seed, step))
         inc = _firm_shock_increment(p, params, net, state, shocks, config.dt,
                                     config.labor_deterministic)
         inc += p
@@ -403,12 +369,6 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     return WealthPanel(
         times=times,
         snapshots=snaps,
-        kind="absolute",
-        metadata=_panel_metadata(config, params, pf, {
-            "network": {"n_households": n, "n_firms": f,
-                        "invest_spread": net.invest_spread,
-                        "labor_spread": net.labor_spread},
-        }),
         counters={"steps": config.step_counts()[0], "dt_guard_max": dt_guard_max},
     )
 
@@ -435,8 +395,8 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     if capital_return <= 0.0 or invest_overlap_mean <= 0.0:
         raise DomainError("capital return and overlap must be positive")
     u = np.array(initial, dtype=float)
-    if np.any(u <= 0.0):
-        raise DomainError("initial relative wealth must be positive")
+    if not np.all(u > 0.0):
+        raise DomainError("initial relative wealth must be positive and finite")
     if abs(u.mean() - 1.0) > 1e-8:
         raise DomainError(f"initial relative wealth must average 1, got {u.mean()!r}")
 
@@ -455,17 +415,7 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         return 1.0 + (u - 1.0) * decay
 
     times, snaps = _record(config, u, advance)
-    return WealthPanel(
-        times=times,
-        snapshots=snaps,
-        kind="relative",
-        metadata={
-            "config": asdict(config),
-            "params": asdict(params),
-            "capital_return": capital_return,
-            "invest_overlap_mean": invest_overlap_mean,
-        },
-    )
+    return WealthPanel(times=times, snapshots=snaps)
 
 
 def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,

@@ -1,9 +1,8 @@
 """Descriptive statistics for simulated wealth samples.
 
 Heavy upper tails are the main object of interest, so the module
-centres on the Hill estimator of the power-law index together with its
-sensitivity to the order-statistic cutoff, plus plain moment summaries
-and goodness-of-fit distances against candidate distributions.
+centres on the Hill estimator of the power-law index, plus plain moment
+summaries and goodness-of-fit distances against candidate distributions.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
 __all__ = [
     "TailEstimate",
     "hill",
-    "hill_sensitivity",
     "ks_distance",
     "moments",
     "ccdf_loglog",
@@ -71,26 +69,6 @@ def hill(sample, n_tail: int | None = None) -> TailEstimate:
     alpha = 1.0 / mean_log
     return TailEstimate(alpha=alpha, stderr=alpha / math.sqrt(n_tail),
                         n_tail=n_tail, threshold=threshold)
-
-
-def hill_sensitivity(sample, n_tails=None) -> list[TailEstimate]:
-    """Hill estimates across a dyadic grid of tail sizes.
-
-    Defaults to tail sizes ``16, 32, 64, ...`` up to half the positive
-    sample.  Stable estimates across the grid indicate a genuine
-    power law rather than an artefact of one cutoff.
-    """
-    x = np.asarray(sample, dtype=float).ravel()
-    n_pos = int(np.sum(np.isfinite(x) & (x > 0.0)))
-    if n_tails is None:
-        n_tails = []
-        k = 16
-        while k <= n_pos // 2:
-            n_tails.append(k)
-            k *= 2
-    if not n_tails:
-        raise InsufficientDataError("sample too small for a sensitivity sweep")
-    return [hill(x, k) for k in n_tails]
 
 
 def ks_distance(sample, cdf) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from wealthsim import build_heterogeneous, build_regular, load_network, save_network
 from wealthsim.errors import DomainError, NetworkBuildError
-from wealthsim.network import AllocationNetwork, firm_inputs
+from wealthsim.network import AllocationNetwork
 
 
 def test_regular_network_is_balanced():
@@ -28,7 +28,6 @@ def test_regular_network_is_balanced():
     # column sums to n/f
     np.testing.assert_allclose(inv.sum(axis=0), 2.0, atol=1e-12)
     np.testing.assert_allclose(lab.sum(axis=0), 2.0, atol=1e-12)
-    assert net.max_invest_load == pytest.approx(2.0)
 
 
 def test_overlap_statistics():
@@ -84,7 +83,7 @@ def test_heterogeneous_spreads():
 def test_firm_capital_and_labor():
     net = build_regular(6, 3, 3, 3, seed=0)
     wealth = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    cap, lab = firm_inputs(net, wealth)
+    cap, lab = net.firm_capital(wealth), net.firm_labor()
     # full spread: every firm receives exactly a 1/3 share of everything
     np.testing.assert_allclose(cap, np.full(3, wealth.sum() / 3.0), atol=1e-12)
     np.testing.assert_allclose(lab, np.full(3, 2.0), atol=1e-12)

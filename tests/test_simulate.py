@@ -13,6 +13,7 @@ from wealthsim import (
     CES,
     CobbDouglas,
     SimulationConfig,
+    build_heterogeneous,
     build_regular,
     classify_regime,
     clear,
@@ -233,6 +234,52 @@ def test_covariance_zero_noise_is_zero():
     emp, ana = empirical_noise_covariance(params, net, pf, wealth, n_samples=100)
     assert np.all(ana == 0.0)
     np.testing.assert_allclose(emp, 0.0, atol=1e-15)
+    # a wealth vector of the wrong length is a typed error, not a numpy one
+    for short in (wealth[:5], np.append(wealth, 1.0)):
+        with pytest.raises(DomainError):
+            analytic_noise_covariance(params, net, pf, short)
+        with pytest.raises(DomainError):
+            empirical_noise_covariance(params, net, pf, short, n_samples=100)
+
+
+def _kernel_jacobian(params, net, pf, wealth, labor_deterministic):
+    """The stepping kernel's Jacobian with respect to the firm shocks.
+
+    The increment is affine in the shocks, so pushing the identity block
+    and a zero block through the kernel and differencing gives column j
+    as the response to a unit shock at firm j.
+    """
+    state = clear(params, pf, wealth.mean())
+    f = net.n_firms
+
+    def push(shocks):
+        return _firm_shock_increment(wealth, params, net, state, shocks, 1.0,
+                                     labor_deterministic)
+
+    return (push(np.eye(f)) - push(np.zeros((f, f)))).T
+
+
+@pytest.mark.parametrize("labor_deterministic", [False, True], ids=["noisy_labor", "fixed_labor"])
+@pytest.mark.parametrize("pf, a", [(CobbDouglas(0.3), 1.0), (CES(0.4, 0.6), 1.7)],
+                         ids=["cobb_douglas", "ces"])
+def test_analytic_covariance_is_the_kernel_law(pf, a, labor_deterministic):
+    # shocks have variance a**2 * delta per unit time, so the increment's
+    # covariance is exactly delta * a**2 * J @ J.T with J the kernel's Jacobian
+    params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.01, nu=0.05,
+                           a=a, delta=1.3)
+    n, f = 40, 20
+    nets = [build_regular(n, f, inv, lab, seed=3)
+            for inv, lab in ((4, 10), (2, 2), (20, 20), (20, 5), (3, 20))]
+    spreads = _stream(11, 0).integers(1, f + 1, (2, n))
+    nets.append(build_heterogeneous(n, f, spreads[0], spreads[1], seed=4))
+    for i, net in enumerate(nets):
+        wealth = P_BAR_STAR * (1.0 + 0.5 * _stream(12, i).uniform(-1.0, 1.0, n))
+        jac = _kernel_jacobian(params, net, pf, wealth, labor_deterministic)
+        law = params.delta * a ** 2 * (jac @ jac.T)
+        ana = analytic_noise_covariance(params, net, pf, wealth,
+                                        labor_deterministic=labor_deterministic)
+        gap = np.max(np.abs(ana - law)) / np.max(np.abs(law))
+        assert gap < 1e-12, (i, gap)
 
 
 def test_labor_deterministic_covariance_drops_wage_channels():
@@ -265,9 +312,6 @@ def test_run_absolute_recording_grid():
     panel = run_absolute(cfg, params, net, pf, np.full(20, P_BAR_STAR))
     np.testing.assert_allclose(panel.times, [10, 15, 20, 25, 30], atol=1e-12)
     assert panel.snapshots.shape == (5, 20)
-    assert panel.kind == "absolute"
-    assert panel.metadata["config"]["seed"] == 1
-    assert panel.metadata["network"]["n_households"] == 20
     assert panel.pooled().size == 100
     np.testing.assert_array_equal(panel.final(), panel.snapshots[-1])
 
@@ -368,7 +412,6 @@ def test_relative_growth_basics():
     report = classify_regime(params, CES(0.2, 0.7))
     cfg = SimulationConfig(dt=0.25, t_end=200.0, burn_in=100.0, record_every=25.0, seed=3)
     panel = run_relative_growth(cfg, params, 1.0, report.capital_return, np.ones(2000))
-    assert panel.kind == "relative"
     assert panel.snapshots.shape == (5, 2000)
     assert np.all(panel.snapshots > 0.0)
     # the scheme conserves the cross-sectional mean up to MC noise
@@ -410,6 +453,10 @@ def test_relative_growth_input_validation():
     with pytest.raises(DomainError):
         run_relative_growth(cfg, params, 1.0, RHO_INF,
                             np.array([1.5, 0.5, 1.0, -0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
+    # a non-finite entry is refused before any step
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            run_relative_growth(cfg, params, 1.0, RHO_INF, np.array([bad] + [1.0] * 9))
     # a step too coarse for the reversion rate is refused outright
     with pytest.raises(ConfigError):
         run_relative_growth(

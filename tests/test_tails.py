@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wealthsim import ccdf_loglog, hill, hill_sensitivity, ks_distance, moments
+from wealthsim import ccdf_loglog, hill, ks_distance, moments
 from wealthsim.errors import DegenerateTailError, InsufficientDataError
 from wealthsim.tails import write_ccdf_table
 
@@ -54,17 +54,6 @@ def test_hill_errors():
         hill(np.arange(1, 21, dtype=float), n_tail=20)
     with pytest.raises(DegenerateTailError):
         hill([1.0] * 50)
-
-
-def test_hill_sensitivity_grid():
-    gen = np.random.default_rng(7)
-    x = (1.0 - gen.uniform(size=2000)) ** (-1.0 / 2.0)
-    ests = hill_sensitivity(x)
-    assert [e.n_tail for e in ests] == [16, 32, 64, 128, 256, 512]
-    custom = hill_sensitivity(x, n_tails=[50, 100])
-    assert [e.n_tail for e in custom] == [50, 100]
-    with pytest.raises(InsufficientDataError):
-        hill_sensitivity(np.arange(1, 21, dtype=float))
 
 
 def test_ks_distance_by_hand():
