@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
 from .errors import (
@@ -272,6 +271,89 @@ def _cumulative_exp_integral(log_fn, grid):
     return cum, shift
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate, kept in the secant's direction and
+    # at most three times its size when the secants change sign
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+_BLOCK = 1 << 16
+
+
+class _MonotoneCubic:
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP).
+
+    Fritsch & Carlson (1980), SIAM J. Numer. Anal. 17(2).  Node slopes
+    are the weighted harmonic mean of the neighbouring secants, zero
+    where they change sign or one vanishes; the slopes, the cubic
+    coefficients and their evaluation follow scipy's
+    ``PchipInterpolator``/``PPoly`` operation by operation, so the values
+    are the same floats.  Points outside the nodes give NaN.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = x[1:] - x[:-1]
+        if x.size < 2 or not np.all(h > 0.0):
+            raise DomainError("interpolation nodes must be strictly increasing")
+        m = (y[1:] - y[:-1]) / h
+        d = np.empty_like(y)
+        if x.size == 2:
+            d[:] = m[0]
+        else:
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            inner = d[1:-1]
+            inner[flat] = 0.0
+            inner[~flat] = 1.0 / whmean[~flat]
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._x = x
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        u = xi.reshape(-1)
+        out = np.empty(xi.shape)
+        flat = out.reshape(-1)
+        # blocks keep the temporaries small on samples of any size
+        for lo in range(0, u.size, _BLOCK):
+            flat[lo:lo + _BLOCK] = self._eval(u[lo:lo + _BLOCK])
+        return out
+
+    def _eval(self, u):
+        x = self._x
+        inside = (u >= x[0]) & (u <= x[-1])
+        # clipping keeps infinities out of the arithmetic below
+        u = np.clip(u, x[0], x[-1])
+        # x[k] <= u < x[k+1], with the right endpoint in the last interval
+        k = np.searchsorted(x, u, side="right")
+        k -= 1
+        np.clip(k, 0, x.size - 2, out=k)
+        s = u - x[k]
+        c0, c1, c2, c3 = self._c
+        # c3 + c2*s + c1*s**2 + c0*s**3, summed in PPoly's order
+        out = c2[k] * s
+        out += c3[k]
+        z = s * s
+        out += c1[k] * z
+        z *= s
+        out += c0[k] * z
+        out[~inside] = np.nan
+        return out
+
+
 class PearsonType4Density(_Density):
     """Stationary density of an affine-drift diffusion whose noise
     variance is a positive quadratic in wealth.
@@ -347,14 +429,13 @@ class PearsonType4Density(_Density):
         # near-flat stretches of the cdf make the monotone slope formula
         # overflow harmlessly before its own guard kicks in
         with np.errstate(over="ignore"):
-            self._cdf_interp = PchipInterpolator(grid, frac, extrapolate=False)
+            self._cdf_interp = _MonotoneCubic(grid, frac)
             # nodes separated by under ~1 ulp of probability would give the
             # inverse interpolant unbounded slopes; drop them
             keep = np.concatenate([[True], np.diff(frac) > 1e-15])
             if keep.sum() < 4:
                 raise DomainError("density mass collapsed onto too few grid nodes")
-            self._quantile_interp = PchipInterpolator(frac[keep], grid[keep],
-                                                      extrapolate=False)
+            self._quantile_interp = _MonotoneCubic(frac[keep], grid[keep])
         self._grid = grid
         self._frac = frac
 

@@ -123,14 +123,16 @@ def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
     report = market.classify_regime(params, cfg.production,
                                     invest_overlap_mean=cfg.theta_bar())
 
-    if cfg.scenario == "EndogenousGrowthRelative":
+    # build the target first, so a config without a closed form fails
+    # before step 1; relative runs have one in a growth regime, absolute
+    # runs in a stationary one
+    relative = cfg.scenario == "EndogenousGrowthRelative"
+    stationary = report.regime == market.STATIONARY
+    target = _target_density(cfg, params, report) if relative != stationary else None
+    if relative:
         panel, metrics = _run_relative(cfg, params, report)
-        target = _target_density(cfg, params, report)
     else:
         panel, metrics = _run_absolute_scenario(cfg, params, report)
-        # an absolute run in a growth regime has no closed-form target
-        target = (_target_density(cfg, params, report)
-                  if report.regime == market.STATIONARY else None)
     pooled = panel.pooled()
     measured = target is not None and not isinstance(target, PointMassDensity)
 

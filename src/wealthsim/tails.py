@@ -90,10 +90,11 @@ def ks_distance(sample, cdf) -> float:
 def moments(sample) -> dict:
     """Mean, variance, skewness and excess kurtosis of a sample.
 
-    Sums are compensated so that large samples with small fluctuations
-    around a big mean do not lose the fluctuations to rounding.
-    Variance uses the n-1 convention; skewness and kurtosis are the
-    usual standardized central moments.
+    The mean is a compensated sum, so large samples with small
+    fluctuations around a big mean do not lose the fluctuations to
+    rounding; the centred sums are numpy's pairwise sums.  Variance uses
+    the n-1 convention; skewness and kurtosis are the usual standardized
+    central moments.
     """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
@@ -101,12 +102,13 @@ def moments(sample) -> dict:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
     mean = math.fsum(x) / n
     d = x - mean
-    m2 = math.fsum(d * d) / n
+    d2 = d * d
+    m2 = float(d2.sum()) / n
     if m2 == 0.0:
         return {"n": n, "mean": mean, "variance": 0.0, "skewness": 0.0,
                 "excess_kurtosis": 0.0}
-    m3 = math.fsum(d * d * d) / n
-    m4 = math.fsum(d * d * d * d) / n
+    m3 = float((d2 * d).sum()) / n
+    m4 = float((d2 * d2).sum()) / n
     return {
         "n": n,
         "mean": mean,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from scipy.interpolate import PchipInterpolator
 
 from conftest import OMEGA_STAR, P_BAR_STAR, RHO_INF, RHO_STAR
 from wealthsim import EconomyParams, CES, relative_wealth_density, stationary_density
@@ -20,6 +21,7 @@ from wealthsim.analytics import (
     InverseGammaDensity,
     PearsonType4Density,
     PointMassDensity,
+    _MonotoneCubic,
     log_log_slope,
     mean_field_coeffs,
     tail_exponent_growth,
@@ -230,3 +232,53 @@ def test_density_table_output(tmp_path, cd_benchmark):
     assert data.shape == (50, 3)
     assert np.all(np.diff(data[:, 2]) > 0)
     np.testing.assert_allclose(data[:, 2], np.linspace(0.01, 0.99, 50), atol=1e-9)
+
+
+def _pchip_cases():
+    gen = np.random.default_rng(12)
+    x = np.sort(gen.uniform(-3.0, 5.0, 40))
+    steps = gen.exponential(size=40)
+    steps[[5, 6, 7, 20]] = 0.0                       # flat runs, zero secants
+    yield x, np.cumsum(steps)                        # monotone
+    yield x, -np.cumsum(steps)                       # monotone decreasing
+    yield x, np.sin(x) + 0.1 * gen.normal(size=40)   # sign changes
+    yield x, np.round(gen.normal(size=40))           # plateaus with jumps
+    yield np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 0.0])
+    yield np.array([0.0, 1.0, 1.5, 3.0]), np.array([0.0, 1.0, -10.0, -9.0])  # end clamps
+    yield np.array([0.0, 2.0]), np.array([1.0, -1.0])
+
+
+@pytest.mark.parametrize("x, y", list(_pchip_cases()))
+def test_monotone_cubic_matches_scipy_pchip(x, y):
+    gen = np.random.default_rng(13)
+    xi = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                         gen.uniform(x[0], x[-1], 500), [x[-1], np.nextafter(x[-1], 0)]])
+    ours = _MonotoneCubic(x, y)
+    ref = PchipInterpolator(x, y, extrapolate=False)
+    np.testing.assert_allclose(ours(xi), ref(xi), rtol=0.0, atol=1e-15)
+    # the right endpoint is evaluated on the last cubic, like every node
+    # but the last it returns its value exactly
+    np.testing.assert_array_equal(ours(x[:-1]), y[:-1])
+    outside = np.array([x[0] - 1e-9, x[-1] + 1e-9, -np.inf, np.inf, np.nan])
+    assert np.all(np.isnan(ours(outside))) and np.all(np.isnan(ref(outside)))
+    assert ours(x[-1]).shape == () and np.isnan(ours(x[-1] + 1.0))
+    assert ours(xi[:500].reshape(-1, 2)).shape == (250, 2)
+
+
+def test_monotone_cubic_rejects_unsorted_nodes():
+    with pytest.raises(DomainError):
+        _MonotoneCubic([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        _MonotoneCubic([0.0], [0.0])
+
+
+def test_pearson_tables_match_scipy_pchip(cd_benchmark):
+    params, pf = cd_benchmark
+    heavy = dataclasses.replace(params, delta=700.0)
+    d = stationary_density(mean_field_coeffs(heavy, clear(heavy, pf, P_BAR_STAR),
+                                              0.5, 0.05, 0.1))
+    x = d.quantile(np.linspace(0.001, 0.999, 501))
+    t = d._angle(x)
+    with np.errstate(over="ignore"):
+        ref = PchipInterpolator(d._grid, d._frac, extrapolate=False)
+    np.testing.assert_array_equal(d._cdf_interp(t), ref(t))

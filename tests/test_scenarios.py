@@ -140,8 +140,8 @@ def test_staggered_wages_floor():
     assert summary["ks_distance"] is not None
 
 
-def test_endogenous_growth_scenario():
-    cfg = config_from_dict({
+def _growth_relative_cfg():
+    return config_from_dict({
         "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01",
                     "delta_theta_product": "10"},
         "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
@@ -149,7 +149,10 @@ def test_endogenous_growth_scenario():
                        "record_every": "50", "seed": "3"},
         "scenario": {"name": "EndogenousGrowthRelative"},
     })
-    summary = run_scenario(cfg)
+
+
+def test_endogenous_growth_scenario():
+    summary = run_scenario(_growth_relative_cfg())
     assert summary["regime"]["regime"] == "endogenous_growth"
     assert summary["snapshot_count"] == 3
     m = summary["metrics"]
@@ -157,6 +160,24 @@ def test_endogenous_growth_scenario():
     assert m["growth_rate"] == pytest.approx(0.010067876424908159, rel=1e-12)
     assert m["mean_within_3_stderr_of_1"] is True
     assert summary["ks_distance"] is not None
+
+
+@pytest.mark.parametrize("make_cfg", [_incomplete_cfg, _growth_relative_cfg])
+def test_missing_target_fails_before_the_run(monkeypatch, make_cfg):
+    from wealthsim import scenarios
+    from wealthsim.errors import DegenerateDiscriminantError
+
+    def no_closed_form(*args):
+        raise DegenerateDiscriminantError("discriminant 0")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its target was built")
+
+    monkeypatch.setattr(scenarios, "_target_density", no_closed_form)
+    monkeypatch.setattr(scenarios, "run_absolute", never)
+    monkeypatch.setattr(scenarios, "run_relative_growth", never)
+    with pytest.raises(DegenerateDiscriminantError):
+        run_scenario(make_cfg())
 
 
 def test_relative_growth_extreme_tail_matches_density():
