@@ -271,87 +271,7 @@ def _cumulative_exp_integral(log_fn, grid):
     return cum, shift
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    # one-sided three-point estimate, kept in the secant's direction and
-    # at most three times its size when the secants change sign
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 _BLOCK = 1 << 16
-
-
-class _MonotoneCubic:
-    """Monotone piecewise-cubic Hermite interpolant (PCHIP).
-
-    Fritsch & Carlson (1980), SIAM J. Numer. Anal. 17(2).  Node slopes
-    are the weighted harmonic mean of the neighbouring secants, zero
-    where they change sign or one vanishes; the slopes, the cubic
-    coefficients and their evaluation follow scipy's
-    ``PchipInterpolator``/``PPoly`` operation by operation, so the values
-    are the same floats.  Points outside the nodes give NaN.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = x[1:] - x[:-1]
-        if x.size < 2 or not np.all(h > 0.0):
-            raise DomainError("interpolation nodes must be strictly increasing")
-        m = (y[1:] - y[:-1]) / h
-        d = np.empty_like(y)
-        if x.size == 2:
-            d[:] = m[0]
-        else:
-            sm = np.sign(m)
-            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-            w1 = 2 * h[1:] + h[:-1]
-            w2 = h[1:] + 2 * h[:-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            inner = d[1:-1]
-            inner[flat] = 0.0
-            inner[~flat] = 1.0 / whmean[~flat]
-            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        self._x = x
-        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        u = xi.reshape(-1)
-        out = np.empty(xi.shape)
-        flat = out.reshape(-1)
-        # blocks keep the temporaries small on samples of any size
-        for lo in range(0, u.size, _BLOCK):
-            flat[lo:lo + _BLOCK] = self._eval(u[lo:lo + _BLOCK])
-        return out
-
-    def _eval(self, u):
-        x = self._x
-        inside = (u >= x[0]) & (u <= x[-1])
-        # clipping keeps infinities out of the arithmetic below
-        u = np.clip(u, x[0], x[-1])
-        # x[k] <= u < x[k+1], with the right endpoint in the last interval
-        k = np.searchsorted(x, u, side="right")
-        k -= 1
-        np.clip(k, 0, x.size - 2, out=k)
-        s = u - x[k]
-        c0, c1, c2, c3 = self._c
-        # c3 + c2*s + c1*s**2 + c0*s**3, summed in PPoly's order
-        out = c2[k] * s
-        out += c3[k]
-        z = s * s
-        out += c1[k] * z
-        z *= s
-        out += c0[k] * z
-        out[~inside] = np.nan
-        return out
 
 
 class PearsonType4Density(_Density):
@@ -367,7 +287,8 @@ class PearsonType4Density(_Density):
     The CDF comes from the substitution ``p = (S*tan(t) - v1)/(2 v2)``,
     under which the density becomes ``cos(t)**(alpha-1) * exp(4*w*S_t*t)``
     on a bounded interval; that compact integrand is integrated once on a
-    refined grid and interpolated monotonically.
+    refined grid, and between nodes the CDF is the cubic Hermite piece
+    whose end slopes are the integrand itself.
     """
 
     def __init__(self, coeffs: MeanFieldCoeffs):
@@ -426,16 +347,16 @@ class PearsonType4Density(_Density):
                  - self._m * math.log(self._s ** 2 / (4.0 * c.var_quad)))
         self._log_norm = const + shift + math.log(total)
         frac = cum / total
-        # near-flat stretches of the cdf make the monotone slope formula
-        # overflow harmlessly before its own guard kicks in
-        with np.errstate(over="ignore"):
-            self._cdf_interp = _MonotoneCubic(grid, frac)
-            # nodes separated by under ~1 ulp of probability would give the
-            # inverse interpolant unbounded slopes; drop them
-            keep = np.concatenate([[True], np.diff(frac) > 1e-15])
-            if keep.sum() < 4:
-                raise DomainError("density mass collapsed onto too few grid nodes")
-            self._quantile_interp = _MonotoneCubic(frac[keep], grid[keep])
+        step = np.diff(frac)
+        if np.count_nonzero(step > 1e-15) < 3:
+            raise DomainError("density mass collapsed onto too few grid nodes")
+        # cubic Hermite pieces of the cdf in t: node slopes are the
+        # normalized integrand itself, so none is estimated
+        h = np.diff(grid)
+        d = np.exp(self._log_core(grid) - shift) / total
+        m = step / h
+        self._coef = (frac[:-1], d[:-1], (3.0 * m - 2.0 * d[:-1] - d[1:]) / h,
+                      (d[:-1] + d[1:] - 2.0 * m) / (h * h))
         self._grid = grid
         self._frac = frac
 
@@ -450,16 +371,40 @@ class PearsonType4Density(_Density):
         out = np.exp(self.log_pdf(x))
         return out if out.ndim else float(out)
 
+    def _hermite(self, k, t):
+        # the cdf at angles t, each inside grid interval k
+        c0, c1, c2, c3 = self._coef
+        s = t - self._grid[k]
+        return c0[k] + s * (c1[k] + s * (c2[k] + s * c3[k]))
+
     def cdf(self, x):
-        t = self._angle(np.asarray(x, dtype=float))
-        out = self._cdf_interp(np.clip(t, self._grid[0], self._grid[-1]))
+        grid = self._grid
+        t = np.clip(self._angle(np.asarray(x, dtype=float)), grid[0], grid[-1])
+        u = t.reshape(-1)
+        out = np.empty(t.shape)
+        flat = out.reshape(-1)
+        # blocks keep the temporaries small on samples of any size
+        for lo in range(0, u.size, _BLOCK):
+            v = u[lo:lo + _BLOCK]
+            k = np.searchsorted(grid, v, side="right") - 1
+            np.clip(k, 0, grid.size - 2, out=k)
+            flat[lo:lo + _BLOCK] = self._hermite(k, v)
         return np.clip(out, 0.0, 1.0)
 
     def quantile(self, q):
         arr = _check_q(q)
-        lo, hi = self._frac[1], self._frac[-2]
-        t = self._quantile_interp(np.clip(arr, lo, hi))
-        out = self._wealth(t)
+        # bisect the cubic of the grid interval that holds each level
+        # until the two ends are adjacent floats
+        k = np.searchsorted(self._frac, arr, side="right") - 1
+        lo, hi = self._grid[k], self._grid[k + 1]
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            below = self._hermite(k, mid) < arr
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = self._wealth(mid)
         return out if out.ndim else float(out)
 
 

@@ -140,6 +140,9 @@ def _sweep_value(cfg: RunConfig, parameter: str, value: float):
     """Regime report at one grid point, or an error string."""
     params, theta = cfg.economy, cfg.theta_bar()
     if parameter == "theta_bar":
+        # sum_j w_ij**2 of a row-stochastic row lies in [1/F, 1]
+        if not 0.0 < value <= 1.0:
+            return f"theta_bar={value!r} must be > 0 and at most 1"
         theta = value
     else:
         try:

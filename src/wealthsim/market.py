@@ -71,20 +71,13 @@ def _aggregate_drift(params, pf, p):
     return params.s * params.a * pf.value(p) - params.chi - params.nu * p
 
 
-_XTOL = 1e-300
-_RTOL = 8.9e-16
-_MAXITER = 200
+def _bisect(f, xa, xb):
+    """Root of ``f`` between ``xa`` and ``xb`` by bisection.
 
-
-def _brentq(f, xa, xb):
-    """Root of ``f`` between ``xa`` and ``xb`` by Brent's method.
-
-    Brent (1973), *Algorithms for Minimization without Derivatives*,
-    ch. 4, written statement by statement as scipy's ``brentq.c`` so the
-    iterates and the root are the same floats, at ``xtol=1e-300``,
-    ``rtol=8.9e-16`` and at most 200 iterations.  A bracket without a
-    sign change, a NaN value or running out of iterations raises
-    NoStationaryStateError.
+    Halves the bracket until its two ends are adjacent floats and
+    returns the end with the smaller ``|f|`` (the lower end on a tie),
+    or a midpoint where ``f`` is exactly zero.  A bracket without a sign
+    change or a NaN value raises NoStationaryStateError.
     """
     def value(x):
         fx = float(f(x))
@@ -92,60 +85,26 @@ def _brentq(f, xa, xb):
             raise NoStationaryStateError(f"root finder met a NaN function value at {x!r}")
         return fx
 
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    lo, hi = min(xa, xb), max(xa, xb)
+    flo, fhi = value(lo), value(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
         raise NoStationaryStateError(
             f"no sign change between {xa!r} and {xb!r}; the root is not bracketed")
-    for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # a difference quotient underflowed to 0; C divides to inf
-                # or nan, which fails the test below and bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid == lo or mid == hi:
+            return hi if abs(fhi) < abs(flo) else lo
+        fmid = value(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NoStationaryStateError(
-        f"root finder did not converge in {_MAXITER} iterations; last iterate {xcur!r}")
+            hi, fhi = mid, fmid
 
 
 def _expand_upper(params, pf, hi_start=1e6, cap=1e280):
@@ -170,7 +129,7 @@ def _solve_ratio_with_slope(params, pf, target, lo=1e-12, hi=1e12):
         hi *= 100.0
         if hi > 1e250:
             raise NoStationaryStateError("could not bracket the slope equation from above")
-    return _brentq(fn, lo, hi)
+    return _bisect(fn, lo, hi)
 
 
 def stationary_roots(params: EconomyParams, pf: ProductionFunction):
@@ -200,7 +159,7 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
             if lo < 1e-250:
                 raise NoStationaryStateError("could not bracket the fixed point from below")
         hi = _expand_upper(params, pf)
-        stable = _brentq(drift, lo, hi)
+        stable = _bisect(drift, lo, hi)
         return float(stable), None
 
     # drift starts negative: find its maximum, then both crossings
@@ -212,7 +171,7 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
     if drift(peak) == 0.0:
         return float(peak), float(peak)
     hi = _expand_upper(params, pf)
-    stable = _brentq(drift, peak, hi)
+    stable = _bisect(drift, peak, hi)
     lo = peak
     while drift(lo) >= 0.0:
         lo /= 100.0
@@ -220,7 +179,7 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
             # drift never turns negative below the peak (chi at the
             # boundary value): the origin itself is the only lower root
             return float(stable), None
-    threshold = _brentq(drift, lo, peak)
+    threshold = _bisect(drift, lo, peak)
     return float(stable), float(threshold)
 
 

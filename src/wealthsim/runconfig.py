@@ -39,6 +39,8 @@ Notes on individual keys:
 * ``[simulation] initial`` is either a number (common starting wealth)
   or ``stationary`` (start at the stationary mean); ``initial_spread``
   adds seeded uniform relative jitter in ``(-spread, +spread)``.
+  EndogenousGrowthRelative starts at relative wealth 1 and rejects
+  ``initial``.
 * ``[sweep]`` takes ``parameter`` plus either ``values`` (whitespace or
   comma separated) or ``start``/``stop``/``count`` for a uniform grid.
 * A numeric key must hold a finite number: ``nan`` and ``inf`` are
@@ -334,6 +336,10 @@ def _build(raw_sections: dict) -> RunConfig:
         simulation = _apply_scenario_constraints(scenario, network_spec, simulation)
         if scenario != "EndogenousGrowthRelative" and network_spec is None:
             raise ConfigError(f"scenario {scenario} needs a [network] section")
+        if scenario == "EndogenousGrowthRelative" and "initial" in raw_sections.get(
+                "simulation", {}):
+            raise ConfigError("EndogenousGrowthRelative starts every household at relative"
+                              " wealth 1; [simulation] initial does not apply")
 
     outputs = dict(raw_sections.get("outputs") or {})
     _reject_unknown("outputs", outputs, {"directory", "format"})

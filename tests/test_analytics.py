@@ -7,21 +7,26 @@ distributions and direct quadrature.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from scipy.interpolate import PchipInterpolator
 
 from conftest import OMEGA_STAR, P_BAR_STAR, RHO_INF, RHO_STAR
-from wealthsim import EconomyParams, CES, relative_wealth_density, stationary_density
+from wealthsim import (
+    EconomyParams,
+    CES,
+    load_config,
+    relative_wealth_density,
+    stationary_density,
+)
 from wealthsim.analytics import (
     GaussianDensity,
     InverseGammaDensity,
     PearsonType4Density,
     PointMassDensity,
-    _MonotoneCubic,
     log_log_slope,
     mean_field_coeffs,
     tail_exponent_growth,
@@ -34,7 +39,8 @@ from wealthsim.errors import (
     DomainError,
     RegimeMismatchError,
 )
-from wealthsim.market import clear
+from wealthsim.market import classify_regime, clear
+from wealthsim.scenarios import _scenario_params, _target_density
 
 
 @pytest.fixture(scope="module")
@@ -234,51 +240,57 @@ def test_density_table_output(tmp_path, cd_benchmark):
     np.testing.assert_allclose(data[:, 2], np.linspace(0.01, 0.99, 50), atol=1e-9)
 
 
-def _pchip_cases():
-    gen = np.random.default_rng(12)
-    x = np.sort(gen.uniform(-3.0, 5.0, 40))
-    steps = gen.exponential(size=40)
-    steps[[5, 6, 7, 20]] = 0.0                       # flat runs, zero secants
-    yield x, np.cumsum(steps)                        # monotone
-    yield x, -np.cumsum(steps)                       # monotone decreasing
-    yield x, np.sin(x) + 0.1 * gen.normal(size=40)   # sign changes
-    yield x, np.round(gen.normal(size=40))           # plateaus with jumps
-    yield np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 0.0])
-    yield np.array([0.0, 1.0, 1.5, 3.0]), np.array([0.0, 1.0, -10.0, -9.0])  # end clamps
-    yield np.array([0.0, 2.0]), np.array([1.0, -1.0])
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize("x, y", list(_pchip_cases()))
-def test_monotone_cubic_matches_scipy_pchip(x, y):
-    gen = np.random.default_rng(13)
-    xi = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                         gen.uniform(x[0], x[-1], 500), [x[-1], np.nextafter(x[-1], 0)]])
-    ours = _MonotoneCubic(x, y)
-    ref = PchipInterpolator(x, y, extrapolate=False)
-    np.testing.assert_allclose(ours(xi), ref(xi), rtol=0.0, atol=1e-15)
-    # the right endpoint is evaluated on the last cubic, like every node
-    # but the last it returns its value exactly
-    np.testing.assert_array_equal(ours(x[:-1]), y[:-1])
-    outside = np.array([x[0] - 1e-9, x[-1] + 1e-9, -np.inf, np.inf, np.nan])
-    assert np.all(np.isnan(ours(outside))) and np.all(np.isnan(ref(outside)))
-    assert ours(x[-1]).shape == () and np.isnan(ours(x[-1] + 1.0))
-    assert ours(xi[:500].reshape(-1, 2)).shape == (250, 2)
+@pytest.fixture(scope="module")
+def shipped_pearson():
+    """Coefficients of the incomplete_markets target density."""
+    cfg = load_config(CONFIG_DIR / "incomplete_markets.ini")
+    params = _scenario_params(cfg)
+    report = classify_regime(params, cfg.production, invest_overlap_mean=cfg.theta_bar())
+    return _target_density(cfg, params, report).coeffs
 
 
-def test_monotone_cubic_rejects_unsorted_nodes():
+# the shipped law, a near-Cauchy tail (alpha ~ 1.015), a narrow peak
+# (alpha ~ 152), and the mode moved far right and far left
+_VARIANTS = {
+    "shipped": {},
+    "slope_x0.01": {"drift_slope": 0.01},
+    "slope_x100": {"drift_slope": 100.0},
+    "intercept_x30": {"drift_intercept": 30.0},
+    "intercept_x-5": {"drift_intercept": -5.0},
+}
+
+
+def _variant(coeffs, name):
+    scaled = {k: getattr(coeffs, k) * f for k, f in _VARIANTS[name].items()}
+    return PearsonType4Density(dataclasses.replace(coeffs, **scaled))
+
+
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_pearson_cdf_matches_quadrature(shipped_pearson, name):
+    d = _variant(shipped_pearson, name)
+    co = d.coeffs
+    x = d.quantile(np.linspace(0.002, 0.998, 21))
+
+    # quad of the pdf under p = (S*tan(t) - v1)/(2*v2), which maps the
+    # real line onto (-pi/2, pi/2) and leaves a smooth compact integrand
+    def dens(t):
+        return d.pdf(d._wealth(t)) * d._s / (2.0 * co.var_quad * math.cos(t) ** 2)
+
+    ref = [scipy.integrate.quad(dens, -0.5 * math.pi, float(d._angle(v)), limit=500,
+                                epsabs=1e-14, epsrel=1e-13)[0] for v in x]
+    np.testing.assert_allclose(d.cdf(x), ref, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_pearson_quantile_inverts_cdf(shipped_pearson, name):
+    d = _variant(shipped_pearson, name)
+    q = np.linspace(0.001, 0.999, 501)
+    x = d.quantile(q)
+    assert np.all(np.diff(x) > 0.0)
+    np.testing.assert_allclose(d.cdf(x), q, rtol=0.0, atol=1e-14)
+    assert isinstance(d.quantile(0.5), float) and d.quantile(0.5) == x[250]
     with pytest.raises(DomainError):
-        _MonotoneCubic([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        _MonotoneCubic([0.0], [0.0])
-
-
-def test_pearson_tables_match_scipy_pchip(cd_benchmark):
-    params, pf = cd_benchmark
-    heavy = dataclasses.replace(params, delta=700.0)
-    d = stationary_density(mean_field_coeffs(heavy, clear(heavy, pf, P_BAR_STAR),
-                                              0.5, 0.05, 0.1))
-    x = d.quantile(np.linspace(0.001, 0.999, 501))
-    t = d._angle(x)
-    with np.errstate(over="ignore"):
-        ref = PchipInterpolator(d._grid, d._frac, extrapolate=False)
-    np.testing.assert_array_equal(d._cdf_interp(t), ref(t))
+        d.quantile([0.5, 1.0])

@@ -180,6 +180,40 @@ def test_corrupt_network_file_exits_1(tmp_path, capsys):
     assert "NetworkBuildError" in capsys.readouterr().err
 
 
+SWEEP_ECONOMY = """\
+    [economy]
+    s = 0.2
+    tau_k = 0.2
+    nu = 0.05
+    delta = 300
+
+    [production]
+    kind = cobb_douglas
+    eps = 0.3
+
+    [sweep]
+    parameter = {parameter}
+    values = -1 0 0.5 2
+"""
+
+
+def test_sweep_out_of_range_values_give_error_rows(tmp_path, capsys):
+    # theta_bar = sum_j w_ij**2 of a row-stochastic row lies in [1/F, 1],
+    # so -1, 0 and 2 are as impossible as delta = -1
+    rows = {}
+    for parameter in ("delta", "theta_bar"):
+        cfg = _write(tmp_path, SWEEP_ECONOMY.format(parameter=parameter))
+        assert main(["sweep", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        rows[parameter] = [ln.split(",") for ln in lines]
+    delta, theta = rows["delta"], rows["theta_bar"]
+    assert delta[0][2].startswith("invalid economy parameters") and delta[0][3:] == ["", "", ""]
+    assert [r[2] for r in delta[1:]] == ["stationary"] * 3
+    for row in (theta[0], theta[1], theta[3]):
+        assert row[2].endswith("must be > 0 and at most 1")
+        assert row[3:] == ["", "", ""]
+    assert theta[2][2] == "stationary" and float(theta[2][3]) > 1.0
+
 def test_knife_edge_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, """\
         [economy]

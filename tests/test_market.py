@@ -156,18 +156,25 @@ def test_power_technology_mean_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# Brent root finder: scipy is the oracle, with the tolerances market.py fixes
+# bisection root finder: every root brackets a sign change to its
+# neighbouring float and agrees with scipy's brentq to 4 ulp
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ["complete_markets", "labor_only", "incomplete_markets",
            "staggered_wages", "endogenous_growth", "nu_sweep"]
-_TOL = dict(xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
-def _same_root(f, lo, hi):
-    ours = market._brentq(f, lo, hi)
-    assert ours == brentq(f, lo, hi, **_TOL)
-    return ours
+def _checked_root(f, lo, hi):
+    root = market._bisect(f, lo, hi)
+    fr = f(root)
+    if fr != 0.0:
+        # the sign flips on one side: the root's neighbour towards it
+        sides = [f(math.nextafter(root, -math.inf)), f(math.nextafter(root, math.inf))]
+        assert any((s > 0.0) != (fr > 0.0) or s == 0.0 for s in sides)
+    ref = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    # a function that is exactly 0 on a stretch of floats has many roots
+    assert abs(root - ref) <= 4.0 * math.ulp(ref) or fr == f(ref) == 0.0
+    return root
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -178,36 +185,36 @@ def test_brentq_matches_scipy_on_shipped_equations(name):
     # the slope equation s*a*g'(p) = target, here with its root at pi
     target = sa * pf.derivative(math.pi)
     slope = lambda p: sa * pf.derivative(p) - target
-    root = _same_root(slope, 1e-12, 1e12)
+    root = _checked_root(slope, 1e-12, 1e12)
     assert root == pytest.approx(math.pi, rel=1e-12)
-    assert _same_root(slope, 1e12, 1e-12) == root
+    assert _checked_root(slope, 1e12, 1e-12) == root
     if sa * pf.derivative_limit() < params.nu:
         # the drift equation, whose root is p_bar*
         drift = lambda p: market._aggregate_drift(params, pf, p)
         hi = market._expand_upper(params, pf)
-        _same_root(drift, 1e-6, hi)
-        _same_root(drift, hi, 1e-6)
-        _same_root(lambda p: sa * pf.derivative(p) - params.nu, 1e-12, 1e12)
+        _checked_root(drift, 1e-6, hi)
+        _checked_root(drift, hi, 1e-6)
+        _checked_root(lambda p: sa * pf.derivative(p) - params.nu, 1e-12, 1e12)
 
 
 def test_brentq_matches_scipy_on_every_subsistence_root(monkeypatch):
     # chi > 0 takes the slope-peak and poverty-threshold branches for
     # Cobb-Douglas (3 roots); CES has positive output at zero (1 root)
     calls = []
-    real = market._brentq
+    real = market._bisect
 
     def recording(f, lo, hi):
         calls.append((f, lo, hi))
         return real(f, lo, hi)
 
-    monkeypatch.setattr(market, "_brentq", recording)
+    monkeypatch.setattr(market, "_bisect", recording)
     params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.1, nu=0.05, a=1.0, delta=1.0)
     for pf in (CobbDouglas(0.3), CES(0.2, 0.7)):
         stationary_roots(params, pf)
     assert len(calls) == 4
     monkeypatch.undo()
     for f, lo, hi in calls:
-        _same_root(f, lo, hi)
+        _checked_root(f, lo, hi)
 
 
 @pytest.mark.parametrize("f, lo, hi", [
@@ -218,21 +225,20 @@ def test_brentq_matches_scipy_on_every_subsistence_root(monkeypatch):
     (lambda x: math.exp(40.0 * x) - 1e6, 1.0, -1.0),
     (lambda x: math.atan(1e8 * (x - 0.7)), 0.0, 1.0),
     (lambda x: x, 0.0, 1.0),
-    # subnormal values: a difference quotient underflows to 0
+    # subnormal values: f is exactly 0 on a stretch around the root
     (lambda x: 5e-324 * (x + 45.5) ** 3, -100.0, 100.0),
 ])
 def test_brentq_matches_scipy_on_textbook_functions(f, lo, hi):
-    _same_root(f, lo, hi)
+    _checked_root(f, lo, hi)
 
 
 def test_brentq_raises_typed_errors():
     with pytest.raises(NoStationaryStateError, match="not bracketed"):
-        market._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        market._bisect(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(NoStationaryStateError, match="NaN"):
-        market._brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
-    # a sign jump at 0 needs about 1000 halvings to reach xtol=1e-300
+        market._bisect(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+    # a sign jump at 0: the bracket closes on the adjacent floats 0 and
+    # 5e-324, and the tie in |f| goes to the lower end
     step = lambda x: 1.0 if x > 0.0 else -1.0
-    with pytest.raises(RuntimeError):
-        brentq(step, -1.0, 2.0, **_TOL)
-    with pytest.raises(NoStationaryStateError, match="200 iterations"):
-        market._brentq(step, -1.0, 2.0)
+    assert market._bisect(step, -1.0, 2.0) == 0.0
+    assert market._bisect(step, 2.0, -1.0) == 0.0

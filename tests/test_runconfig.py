@@ -17,6 +17,7 @@ from wealthsim import (
     save_network,
 )
 from wealthsim import runconfig
+from wealthsim.cli import main
 from wealthsim.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -257,6 +258,17 @@ def test_initial_parsing_errors(tmp_path):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + "\n[simulation]\n" + line + "\n")
 
+
+def test_relative_growth_rejects_initial(tmp_path):
+    # relative wealth starts at 1 by construction, so a starting level
+    # would be silently ignored
+    text = MINIMAL + "\n[scenario]\nname = EndogenousGrowthRelative\n[simulation]\n"
+    cfg = _load(tmp_path, text + "initial_spread = 0.1\n")
+    assert cfg.scenario == "EndogenousGrowthRelative" and cfg.initial_spread == 0.1
+    for value in ("5000", "stationary"):
+        with pytest.raises(ConfigError, match="initial does not apply"):
+            _load(tmp_path, text + f"initial = {value}\n")
+    assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == 2
 
 def test_with_seed_round_trips(tmp_path):
     cfg = _load(tmp_path, MINIMAL + "\n[simulation]\ndt = 0.5\nt_end = 10\nseed = 3\n")
