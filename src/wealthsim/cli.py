@@ -14,6 +14,7 @@ error, 3 knife-edge regime boundary.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -63,16 +64,20 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("csv", "json"), default=None,
                          help="override the [outputs] format")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="worker-thread hint; results do not depend on it "
-                              "(env WEALTHSIM_THREADS as fallback)")
+                         help="most noise worker processes a long simulation forks "
+                              "(default 2; env WEALTHSIM_THREADS as fallback); "
+                              "results do not depend on it")
     return parser
 
 
-def _resolve_threads(args) -> int:
+def _resolve_threads(args) -> int | None:
+    """``--threads``, else ``WEALTHSIM_THREADS``, else None (the default)."""
     if args.threads is not None:
         n = args.threads
     else:
-        text = os.environ.get("WEALTHSIM_THREADS", "1")
+        text = os.environ.get("WEALTHSIM_THREADS")
+        if text is None:
+            return None
         try:
             n = int(text)
         except ValueError as exc:
@@ -124,8 +129,8 @@ def cmd_regime(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    _resolve_threads(args)
-    summary = run_scenario(cfg, out_dir=_out_dir(args, cfg))
+    threads = _resolve_threads(args)
+    summary = run_scenario(cfg, out_dir=_out_dir(args, cfg), threads=threads)
     line = {k: summary["metrics"][k] for k in sorted(summary.get("metrics", {}))}
     print(f"{summary['scenario']}: {summary['snapshot_count']} snapshots, "
           f"final mean {summary['mean_path'][-1]:.6g}")
@@ -179,16 +184,13 @@ def sweep_rows(cfg: RunConfig) -> list[list[str]]:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = sweep_rows(cfg)
-    header = "parameter,value,regime,alpha,p_bar_star,psi_eg"
-    lines = [header] + [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    rows = [["parameter", "value", "regime", "alpha", "p_bar_star", "psi_eg"]] + sweep_rows(cfg)
     out = _out_dir(args, cfg)
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "sweep.csv"), "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 

@@ -111,11 +111,13 @@ def _target_density(cfg: RunConfig, params, report):
     return stationary_density(mean_field_coeffs(params, state, invest, cross, labor))
 
 
-def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
+def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> dict:
     """Run the configured scenario and summarize it against theory.
 
     Writes ``summary.json`` plus, in csv mode, the wealth panel and
     plot-ready density and tail tables into ``out_dir`` when given.
+    ``threads`` caps the forked noise workers (None: the default of two);
+    the results do not depend on it.
     """
     if cfg.scenario is None:
         raise ConfigError("config has no [scenario] section")
@@ -130,9 +132,9 @@ def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
     stationary = report.regime == market.STATIONARY
     target = _target_density(cfg, params, report) if relative != stationary else None
     if relative:
-        panel, metrics = _run_relative(cfg, params, report)
+        panel, metrics = _run_relative(cfg, params, report, threads)
     else:
-        panel, metrics = _run_absolute_scenario(cfg, params, report)
+        panel, metrics = _run_absolute_scenario(cfg, params, report, threads)
     pooled = panel.pooled()
     measured = target is not None and not isinstance(target, PointMassDensity)
 
@@ -176,7 +178,7 @@ def run_scenario(cfg: RunConfig, out_dir=None) -> dict:
     return summary
 
 
-def _run_absolute_scenario(cfg: RunConfig, params, report):
+def _run_absolute_scenario(cfg: RunConfig, params, report, threads):
     net = cfg.build_network()
     if cfg.initial == "stationary":
         if report.regime != market.STATIONARY:
@@ -188,7 +190,7 @@ def _run_absolute_scenario(cfg: RunConfig, params, report):
         base = float(cfg.initial)
     p0 = _initial_wealth(cfg, base, net.n_households)
 
-    panel = run_absolute(cfg.simulation, params, net, cfg.production, p0)
+    panel = run_absolute(cfg.simulation, params, net, cfg.production, p0, threads)
     metrics: dict = {}
     if cfg.scenario == "CompleteMarkets":
         metrics["risk_fully_pooled"] = params.delta != cfg.economy.delta
@@ -203,7 +205,7 @@ def _run_absolute_scenario(cfg: RunConfig, params, report):
     return panel, metrics
 
 
-def _run_relative(cfg: RunConfig, params, report):
+def _run_relative(cfg: RunConfig, params, report, threads):
     if report.regime == market.STATIONARY:
         raise ConfigError(
             "EndogenousGrowthRelative needs a growing economy;"
@@ -215,7 +217,7 @@ def _run_relative(cfg: RunConfig, params, report):
     u0 /= u0.mean()
 
     panel = run_relative_growth(cfg.simulation, params, cfg.theta_bar(),
-                                report.capital_return, u0)
+                                report.capital_return, u0, threads)
     final = panel.final()
     mean_u = float(final.mean())
     stderr = float(final.std(ddof=1) / math.sqrt(final.size))

@@ -11,11 +11,20 @@ Randomness is counter-based: step n of a run draws from a dedicated
 Philox stream keyed by (seed, n), so trajectories are reproducible and
 independent of how the work is scheduled.  One generator is reset to
 each stream rather than rebuilt, with the same draws.
+
+Each step splits into a state-free part, a pure function of (seed, n):
+the draws and what follows from them alone, and the state update.  On
+long runs forked worker processes make the state-free part in blocks of
+steps ahead of the update, which stays in the calling process.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +35,7 @@ from .errors import (
     DomainError,
     NonFiniteError,
     PriceUndefinedError,
+    WealthsimError,
 )
 from .market import _aggregate_drift, clear
 from .network import AllocationNetwork
@@ -88,8 +98,10 @@ class WealthPanel:
 
     times      (n_snapshots,) recording times
     snapshots  (n_snapshots, n_households) wealth levels
-    counters   what an absolute run did: steps taken and the largest
-               stability-guard value s*(1-tau_k)*return*dt
+    counters   what the run did: steps taken, the number of forked noise
+               workers (0 when the noise was made inline) and, for
+               absolute runs, the largest stability-guard value
+               s*(1-tau_k)*return*dt
     """
 
     times: np.ndarray
@@ -138,7 +150,8 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     with empty buffers, which draws exactly what a freshly built
     ``Philox(key=seed, counter=[0, 0, 0, step])`` would, without the
     cost of building one.  The generator is shared by the whole process,
-    so no caller may hold two streams at once or draw from two threads.
+    so no caller may hold two streams at once or draw from two threads;
+    a forked noise worker owns its own copy.
     """
     _KEY[0] = seed
     _COUNTER[3] = step
@@ -305,9 +318,115 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     return empirical, analytic
 
 
-def _record(config: SimulationConfig, state: np.ndarray, advance):
-    """Step ``state`` through ``advance(state, step, mean)`` and keep the snapshots.
+FORK_MIN_DRAWS = 2 ** 24  # runs drawing fewer normals make their noise inline
+DEFAULT_THREADS = 2       # the one worker count measured (on 2 cores) to pay for itself
+_SLOT_BYTES = 3 << 18     # noise per slot; a worker's two slots are its lead on the update
 
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity, capped by a cgroup v2
+    CPU quota, which the affinity does not show."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            quota, period = fh.read().split()
+        return max(1, min(cores, int(quota) // int(period)))
+    except (OSError, ValueError):  # no cgroup v2 file, or "max": no quota
+        return cores
+
+
+def _noise(steps, width, make, threads):
+    """Plan the noise of steps ``1..steps``: (workers, rows).
+
+    ``make(step)`` returns the step's ``width`` normals or what follows
+    from them alone.  ``rows`` yields ``make``'s arrays, or copies of
+    them, step by step, each valid until the next is asked for; close it
+    when done.  A run that draws at least ``FORK_MIN_DRAWS`` normals
+    (``steps * width``) forks ``min(threads, _usable_cores())`` workers
+    (``threads`` None: ``DEFAULT_THREADS``), at most one per block of
+    about ``_SLOT_BYTES``.  One worker would gain nothing, so then, and
+    below the threshold, ``workers`` is 0 and each step is made inline
+    just before its update.
+    """
+    if threads is None:
+        threads = DEFAULT_THREADS
+    if threads < 1:
+        raise ConfigError(f"thread count must be positive, got {threads}")
+    size = max(1, _SLOT_BYTES // (8 * width))
+    workers = min(threads, _usable_cores(), -(-steps // size))
+    if workers < 2 or steps * width < FORK_MIN_DRAWS or not hasattr(os, "fork"):
+        return 0, (make(step) for step in range(1, steps + 1))
+    blocks = [(lo, min(lo + size, steps + 1)) for lo in range(1, steps + 1, size)]
+    return workers, _forked_rows(blocks, size, width, make, workers)
+
+
+def _forked_rows(blocks, size, width, make, workers):
+    # two slots per worker in one shared anonymous mapping: worker w
+    # makes blocks w, w + workers, ... and alternates between its slots;
+    # one-byte tokens on a pipe each way say a slot is free or filled
+    ring = mmap.mmap(-1, 2 * workers * size * width * 8)
+    slots = np.ndarray((2 * workers, size, width), buffer=ring)
+    pids, frees, readies = [], [], []
+    try:
+        for w in range(workers):
+            free_r, free_w = os.pipe()
+            ready_r, ready_w = os.pipe()
+            frees.append(free_w)
+            readies.append(ready_r)
+            pid = os.fork()
+            if pid == 0:
+                for fd in frees + readies:
+                    os.close(fd)
+                _noise_worker(blocks[w::workers], slots[2 * w:2 * w + 2], make, free_r, ready_w)
+            pids.append(pid)
+            os.close(free_r)
+            os.close(ready_w)
+            os.write(free_w, b"\0\0")  # both slots are free
+        for b, (lo, hi) in enumerate(blocks):
+            w, j = b % workers, b // workers
+            if not os.read(readies[w], 1):
+                raise WealthsimError(
+                    f"noise worker {w} exited before making steps {lo}-{hi - 1}")
+            yield from slots[2 * w + j % 2, :hi - lo]
+            if b + 2 * workers < len(blocks):
+                try:
+                    os.write(frees[w], b"\0")
+                except BrokenPipeError:
+                    pass  # the worker died; reading its next block says so
+    finally:
+        for fd in frees + readies:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _noise_worker(blocks, slots, make, free_r, ready_w):
+    """Body of a forked noise worker: make ``blocks`` of steps in turn into
+    the two ``slots``, each once the parent sends a token that it is
+    free, and exit; end of file on the token pipe means the parent is
+    gone."""
+    code = 1
+    try:
+        for j, (lo, hi) in enumerate(blocks):
+            if not os.read(free_r, 1):
+                break
+            for k, step in enumerate(range(lo, hi)):
+                slots[j % 2, k] = make(step)
+            os.write(ready_w, b"\0")
+        code = 0
+    except Exception:
+        os.write(2, ("wealthsim noise worker failed:\n" + traceback.format_exc()).encode())
+    finally:
+        os._exit(code)
+
+
+def _record(config: SimulationConfig, state: np.ndarray, advance, noise):
+    """Step ``state`` through ``advance(state, step, mean, rows)`` and keep
+    the snapshots.
+
+    ``rows`` is the step's noise, the next item of ``noise``.
     ``mean`` is the mean of the state handed in, the one reduction per
     step.  It doubles as the finiteness check: a finite mean means every
     entry is finite, so only a non-finite mean costs a scan, and a state
@@ -324,7 +443,7 @@ def _record(config: SimulationConfig, state: np.ndarray, advance):
     # sum / size is exactly what ndarray.mean computes, without its overhead
     mean = state.sum() / state.size
     for step in range(1, steps_total + 1):
-        state = advance(state, step, mean)
+        state = advance(state, step, mean, next(noise))
         mean = state.sum() / state.size
         if not math.isfinite(mean) and not np.all(np.isfinite(state)):
             raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
@@ -336,7 +455,7 @@ def _record(config: SimulationConfig, state: np.ndarray, advance):
 
 def run_absolute(config: SimulationConfig, params: EconomyParams,
                  net: AllocationNetwork, pf: ProductionFunction,
-                 initial) -> WealthPanel:
+                 initial, threads: int | None = None) -> WealthPanel:
     """Simulate absolute wealth for every household.
 
     Prices are recomputed from current mean wealth each step.  The run
@@ -344,6 +463,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     finite; both errors carry the offending step index.  The stability
     guard ``s*(1-tau_k)*return*dt < 0.1`` is enforced at t=0; its
     largest value over the run is kept in ``counters["dt_guard_max"]``.
+    The firm draws are made ahead of the update, by up to ``threads``
+    forked workers on long runs (see ``_noise``); the panel does not
+    depend on how many.
     """
     p, prices = _frozen_state(params, net, pf, np.array(initial, dtype=float))
     saved = params.s * (1.0 - params.tau_k)
@@ -351,31 +473,38 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     if dt_guard_max >= 0.1:
         raise ConfigError(
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
+    steps, f = config.step_counts()[0], net.n_firms
 
-    def advance(p, step, lam):
+    def make(step):
+        return sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
+
+    def advance(p, step, lam, shocks):
         nonlocal dt_guard_max
         if not lam > 0.0:
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         state = clear(params, pf, lam)
         dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
-        shocks = sample_firm_shocks(net.n_firms, params, config.dt, _stream(config.seed, step))
         inc = _firm_shock_increment(p, params, net, state, shocks, config.dt,
                                     config.labor_deterministic)
         inc += p
         return inc
 
-    times, snaps = _record(config, p, advance)
+    workers, noise = _noise(steps, f, make, threads)
+    try:
+        times, snaps = _record(config, p, advance, noise)
+    finally:
+        noise.close()
     return WealthPanel(
         times=times,
         snapshots=snaps,
-        counters={"steps": config.step_counts()[0], "dt_guard_max": dt_guard_max},
+        counters={"steps": steps, "dt_guard_max": dt_guard_max, "noise_workers": workers},
     )
 
 
 def run_relative_growth(config: SimulationConfig, params: EconomyParams,
                         invest_overlap_mean: float, capital_return: float,
-                        initial) -> WealthPanel:
+                        initial, threads: int | None = None) -> WealthPanel:
     """Simulate wealth relative to the growing mean along a growth path.
 
     Relative wealth reverts to 1 at rate ``s * return * tau_k`` and
@@ -387,7 +516,9 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     relaxation, with one normal per household from the (seed, step)
     stream.  Relative wealth stays positive and its mean is kept in
     expectation for any dt.  Without capital taxation there is nothing
-    to revert to and the run refuses.
+    to revert to and the run refuses.  The geometric factors are made
+    ahead of the update, by up to ``threads`` forked workers on long
+    runs (see ``_noise``); the panel does not depend on how many.
     """
     if params.tau_k == 0.0:
         raise DegenerateDynamicsError(
@@ -407,15 +538,34 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         raise ConfigError("dt too coarse for the reversion or noise scale")
     decay = math.exp(-0.5 * revert * config.dt)
     sq = math.sqrt(config.dt)
+    steps, n = config.step_counts()[0], u.shape[0]
 
-    def advance(u, step, _mean):
-        dw = sq * _stream(config.seed, step).standard_normal(u.shape[0])
-        u = 1.0 + (u - 1.0) * decay
-        u = u * np.exp(sigma * dw - 0.5 * sigma * sigma * config.dt)
-        return 1.0 + (u - 1.0) * decay
+    def make(step):
+        # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
+        x = _stream(config.seed, step).standard_normal(n)
+        x *= sq
+        x *= sigma
+        x -= 0.5 * sigma * sigma * config.dt
+        return np.exp(x, out=x)
 
-    times, snaps = _record(config, u, advance)
-    return WealthPanel(times=times, snapshots=snaps)
+    def advance(u, step, _mean, factor):
+        # 1 + ((1 + (u-1)*decay) * factor - 1) * decay, one operation at a time
+        v = u - 1.0
+        v *= decay
+        v += 1.0
+        v *= factor
+        v -= 1.0
+        v *= decay
+        v += 1.0
+        return v
+
+    workers, noise = _noise(steps, n, make, threads)
+    try:
+        times, snaps = _record(config, u, advance, noise)
+    finally:
+        noise.close()
+    return WealthPanel(times=times, snapshots=snaps,
+                       counters={"steps": steps, "noise_workers": workers})
 
 
 def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,

@@ -1,5 +1,7 @@
 """Command-line interface: output, exit codes, overrides."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -214,6 +216,21 @@ def test_sweep_out_of_range_values_give_error_rows(tmp_path, capsys):
         assert row[3:] == ["", "", ""]
     assert theta[2][2] == "stationary" and float(theta[2][3]) > 1.0
 
+
+def test_sweep_quotes_an_error_with_a_comma(tmp_path, capsys):
+    text = SWEEP_ECONOMY.format(parameter="tau_k").replace("-1 0 0.5 2", "0 0.99 1")
+    cfg = _write(tmp_path, text)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out
+    written = (tmp_path / "out" / "sweep.csv").read_text()
+    assert printed == written
+    assert '"invalid economy parameters: tau_k=1.0 must lie in [0, 1)"' in written
+    rows = list(csv.reader(io.StringIO(written)))
+    assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+    assert rows[3][2] == "invalid economy parameters: tau_k=1.0 must lie in [0, 1)"
+    assert [row[2] for row in rows[1:3]] == ["stationary"] * 2
+
+
 def test_knife_edge_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, """\
         [economy]
@@ -230,6 +247,41 @@ def test_knife_edge_exits_3(tmp_path, capsys):
     rc = main(["regime", "--config", cfg])
     assert rc == 3
     assert capsys.readouterr().err.startswith("knife-edge:")
+
+
+def test_bad_thread_count_fails_before_the_regime(tmp_path, capsys, monkeypatch):
+    # a knife-edge economy exits 3 once classified; a bad count is a config
+    # error found before that
+    cfg = _write(tmp_path, """\
+        [economy]
+        s = 0.2
+        tau_k = 0.2
+        nu = 0.02006787642490816
+        delta_theta_product = 300
+
+        [production]
+        kind = ces
+        eps = 0.2
+        gam = 0.7
+
+        [network]
+        n_households = 20
+        n_firms = 20
+        invest_spread = 2
+        labor_spread = 2
+
+        [simulation]
+        dt = 0.1
+        t_end = 30
+
+        [scenario]
+        name = IncompleteMarkets
+        """)
+    assert main(["simulate", "--config", cfg]) == 3
+    assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
+    monkeypatch.setenv("WEALTHSIM_THREADS", "0")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.count("thread count must be positive") == 2
 
 
 def test_seed_override_is_deterministic(tmp_path, capsys):
