@@ -6,6 +6,13 @@ noise variance ``v0 + v1 * p + v2 * p**2``.  The zero-flux stationary
 density of that diffusion is available in closed form; which member of
 the family applies depends on which variance coefficients survive the
 aggregation of firm shocks.
+
+Both regimes belong to the family, so ``alpha = 1 + 2 * slope / v2``
+is the one tail exponent, with ``v2`` the capital-noise term
+``delta * s**2 * (1-tau_k)**2 * return**2 * overlap``.  A stationary
+state has slope ``nu - s*(1-tau_k)*return``.  Along the growth path,
+relative wealth ``du = r*(1-u) dt + sqrt(v2)*u dW`` is the member with
+intercept = slope = ``r = s*return*tau_k`` and no labor noise.
 """
 
 from __future__ import annotations
@@ -80,6 +87,23 @@ class MeanFieldCoeffs:
         return 1.0 + 2.0 * self.drift_slope / self.var_quad
 
 
+def _stationary_slope(params: EconomyParams, capital_return: float) -> float:
+    """Reversion rate of wealth at a stationary state, which must be positive."""
+    slope = params.nu - params.s * (1.0 - params.tau_k) * capital_return
+    if slope <= 0.0:
+        raise RegimeMismatchError(
+            f"drift slope {slope:.6g} is not positive at return {capital_return:.6g}; "
+            "individual wealth is not mean-reverting")
+    return slope
+
+
+def _capital_variance(params: EconomyParams, capital_return: float,
+                      invest_mean: float) -> float:
+    """Quadratic noise coefficient: after-tax capital-income risk."""
+    return (params.delta * params.s ** 2 * (1.0 - params.tau_k) ** 2
+            * capital_return ** 2 * invest_mean)
+
+
 def mean_field_coeffs(params: EconomyParams, market: "MarketState",
                       invest_mean: float, cross_mean: float,
                       labor_mean: float) -> MeanFieldCoeffs:
@@ -94,18 +118,13 @@ def mean_field_coeffs(params: EconomyParams, market: "MarketState",
         if v < 0.0 or not math.isfinite(v):
             raise DomainError(f"{name} must be finite and >= 0, got {v}")
     rho, omega = market.capital_return, market.wage
-    slope = params.nu - params.s * (1.0 - params.tau_k) * rho
-    if slope <= 0.0:
-        raise RegimeMismatchError(
-            f"drift slope {slope:.6g} is not positive; individual wealth is not "
-            "mean-reverting at these prices")
     base = params.delta * params.s ** 2
     coeffs = MeanFieldCoeffs(
         drift_intercept=params.s * (omega + params.tau_k * rho * market.mean_wealth) - params.chi,
-        drift_slope=slope,
+        drift_slope=_stationary_slope(params, rho),
         var_const=base * (1.0 - params.tau_l) ** 2 * omega ** 2 * labor_mean,
         var_lin=2.0 * base * (1.0 - params.tau_k) * (1.0 - params.tau_l) * rho * omega * cross_mean,
-        var_quad=base * (1.0 - params.tau_k) ** 2 * rho ** 2 * invest_mean,
+        var_quad=_capital_variance(params, rho, invest_mean),
     )
     if coeffs.discriminant < 0.0:
         raise DegenerateDiscriminantError(
@@ -114,37 +133,33 @@ def mean_field_coeffs(params: EconomyParams, market: "MarketState",
     return coeffs
 
 
-def tail_exponent_stationary(params: EconomyParams, capital_return: float,
-                             invest_mean: float) -> float:
-    """Power-law exponent of the stationary wealth distribution."""
-    slope = params.nu - params.s * (1.0 - params.tau_k) * capital_return
-    if slope <= 0.0:
-        raise RegimeMismatchError(
-            f"drift slope {slope:.6g} is not positive at return {capital_return:.6g}")
-    quad = (params.delta * params.s ** 2 * (1.0 - params.tau_k) ** 2
-            * capital_return ** 2 * invest_mean)
-    if quad <= 0.0:
-        raise DomainError("capital noise is zero, the distribution has no power tail")
-    return 1.0 + 2.0 * slope / quad
-
-
-def tail_exponent_growth(params: EconomyParams, capital_return: float,
-                         invest_mean: float) -> float:
-    """Power-law exponent of relative wealth under sustained growth.
-
-    Capital taxation is the only force pulling relative wealth back to
-    its mean along the growth path; with ``tau_k = 0`` dispersion grows
-    without bound and no exponent exists.
-    """
+def _growth_coeffs(params: EconomyParams, capital_return: float,
+                   invest_mean: float) -> MeanFieldCoeffs:
+    """Coefficients of wealth relative to the mean along the growth path;
+    without a capital tax nothing pulls it back to 1."""
     if params.tau_k == 0.0:
         raise DegenerateDynamicsError(
             "tau_k = 0: relative wealth has no stationary distribution along "
             "the growth path")
-    denom = (params.delta * params.s * (1.0 - params.tau_k) ** 2
-             * capital_return * invest_mean)
-    if denom <= 0.0:
-        raise DomainError("capital noise is zero, relative wealth has no power tail")
-    return 1.0 + 2.0 * params.tau_k / denom
+    if capital_return <= 0.0 or invest_mean <= 0.0:
+        raise DomainError("capital return and overlap must be positive")
+    slope = params.s * capital_return * params.tau_k
+    return MeanFieldCoeffs(slope, slope, 0.0, 0.0,
+                           _capital_variance(params, capital_return, invest_mean))
+
+
+def tail_exponent_stationary(params: EconomyParams, capital_return: float,
+                             invest_mean: float) -> float:
+    """Power-law exponent of the stationary wealth distribution."""
+    # the tail needs only the slope and the capital noise
+    return MeanFieldCoeffs(0.0, _stationary_slope(params, capital_return), 0.0, 0.0,
+                           _capital_variance(params, capital_return, invest_mean)).tail_exponent
+
+
+def tail_exponent_growth(params: EconomyParams, capital_return: float,
+                         invest_mean: float) -> float:
+    """Power-law exponent of relative wealth under sustained growth."""
+    return _growth_coeffs(params, capital_return, invest_mean).tail_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +444,7 @@ def stationary_density(coeffs: MeanFieldCoeffs):
             raise DomainError(
                 "with purely multiplicative noise the drift intercept must be "
                 "positive to keep wealth away from zero")
-        return InverseGammaDensity(shape=1.0 + 2.0 * c.drift_slope / c.var_quad,
+        return InverseGammaDensity(shape=c.tail_exponent,
                                    rate=2.0 * c.drift_intercept / c.var_quad)
     return PearsonType4Density(c)
 

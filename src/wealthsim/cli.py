@@ -92,9 +92,7 @@ def _load(args) -> RunConfig:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     if args.format is not None:
-        outputs = dict(cfg.outputs)
-        outputs["format"] = args.format
-        cfg = dataclasses.replace(cfg, outputs=outputs)
+        cfg = cfg.with_raw("outputs", format=args.format)
     return cfg
 
 

@@ -132,6 +132,15 @@ def _solve_ratio_with_slope(params, pf, target, lo=1e-12, hi=1e12):
     return _bisect(fn, lo, hi)
 
 
+def _grows(params: EconomyParams, pf: ProductionFunction) -> bool:
+    """Whether ``s*a*g'(inf)`` exceeds ``nu``; KnifeEdgeError when equal."""
+    crit = params.s * params.a * pf.derivative_limit()
+    if crit == params.nu:
+        raise KnifeEdgeError(
+            f"economy sits on the knife edge: s*a*g'(inf) = nu = {params.nu!r}")
+    return crit > params.nu
+
+
 def stationary_roots(params: EconomyParams, pf: ProductionFunction):
     """Fixed points of aggregate wealth in the stationary regime.
 
@@ -141,13 +150,9 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
     smaller root is an unstable poverty threshold below which aggregate
     wealth collapses.
     """
-    crit = params.s * params.a * pf.derivative_limit()
-    if crit > params.nu:
+    if _grows(params, pf):
         raise RegimeMismatchError(
-            f"no stationary state: s*a*g'(inf)={crit:.6g} exceeds nu={params.nu:.6g}")
-    if crit == params.nu:
-        raise KnifeEdgeError(
-            f"s*a*g'(inf) equals nu exactly ({params.nu!r}); the fixed point diverges")
+            f"no stationary state: s*a*g'(inf) exceeds nu={params.nu:.6g}")
 
     drift = lambda p: _aggregate_drift(params, pf, p)
     drift_at_zero = params.s * params.a * pf.value_at_zero() - params.chi
@@ -226,18 +231,12 @@ def classify_regime(params: EconomyParams, pf: ProductionFunction,
 
     Raises KnifeEdgeError when ``s*a*g'(inf)`` equals ``nu`` exactly.
     """
-    crit = params.s * params.a * pf.derivative_limit()
-    if crit == params.nu:
-        raise KnifeEdgeError(
-            f"economy sits on the knife edge: s*a*g'(inf) = nu = {params.nu!r}")
-    if crit > params.nu:
+    if _grows(params, pf):
         capital_return = params.a * pf.derivative_limit()
         growth = params.s * capital_return - params.nu
-        noisy = params.delta > 0.0 and invest_overlap_mean > 0.0
-        if params.tau_k > 0.0 and noisy:
-            alpha = tail_exponent_growth(params, capital_return, invest_overlap_mean)
-        else:
-            alpha = None
+        noisy = params.tau_k > 0.0 and params.delta > 0.0 and invest_overlap_mean > 0.0
+        alpha = tail_exponent_growth(params, capital_return, invest_overlap_mean) \
+            if noisy else None
         regime = ENDOGENOUS_GROWTH
         if params.s * params.a * pf.value_at_zero() <= params.chi:
             # growth only takes hold above a wealth threshold
@@ -252,10 +251,9 @@ def classify_regime(params: EconomyParams, pf: ProductionFunction,
 
     stable, threshold = stationary_roots(params, pf)
     state = clear(params, pf, stable)
-    if params.delta > 0.0 and invest_overlap_mean > 0.0 and state.capital_return > 0.0:
-        alpha = tail_exponent_stationary(params, state.capital_return, invest_overlap_mean)
-    else:
-        alpha = None
+    noisy = params.delta > 0.0 and invest_overlap_mean > 0.0 and state.capital_return > 0.0
+    alpha = tail_exponent_stationary(params, state.capital_return, invest_overlap_mean) \
+        if noisy else None
     return RegimeReport(
         regime=STATIONARY,
         capital_return=state.capital_return,

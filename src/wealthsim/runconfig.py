@@ -166,13 +166,17 @@ class RunConfig:
         return {section: dict(keys) for section, keys in self.raw.items()}
 
     def with_seed(self, seed: int) -> "RunConfig":
-        """Copy of this config with the simulation seed replaced.
+        """Copy of this config with the simulation seed replaced."""
+        return self.with_raw("simulation", seed=str(int(seed)))
+
+    def with_raw(self, section: str, **values: str) -> "RunConfig":
+        """Copy of this config with keys of one section replaced.
 
         Goes back through the parser so the echoed raw text stays in
-        step with the parsed value.
+        step with the parsed values.
         """
-        raw = {section: dict(keys) for section, keys in self.raw.items()}
-        raw.setdefault("simulation", {})["seed"] = str(int(seed))
+        raw = {name: dict(keys) for name, keys in self.raw.items()}
+        raw.setdefault(section, {}).update(values)
         return _build(raw)
 
 

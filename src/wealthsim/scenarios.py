@@ -22,6 +22,8 @@ from .analytics import (
     mean_field_coeffs,
     relative_wealth_density,
     stationary_density,
+    tail_exponent_growth,
+    tail_exponent_stationary,
     write_density_table,
 )
 from .errors import ConfigError, WealthsimError
@@ -77,38 +79,39 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
-def _scenario_params(cfg: RunConfig):
-    """Economy the configured scenario runs on."""
+def _closed_form(cfg: RunConfig, relative: bool | None = None):
+    """The economy a config runs on, its regime and its closed-form target.
+
+    Returns ``(params, report, target)``.  A growth regime's target is
+    the density of relative wealth (None without a tail exponent), a
+    stationary one's the mean-field density at the network's overlap
+    means, or at theta_bar alone with no network, less the channels the
+    scenario shuts.  A run passes its kind as ``relative`` and gets a
+    target only in the regime that kind measures; with None it is
+    always built.
+    """
     params = cfg.economy
     if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
         # every household holds every firm, so idiosyncratic risk pools away;
         # finite-firm residual noise is not part of this scenario
         params = dataclasses.replace(params, delta=0.0)
-    return params
-
-
-def _target_density(cfg: RunConfig, params, report):
-    """Closed-form law the config's wealth is measured against, or None.
-
-    In a growth regime it is the relative-wealth density (none without a
-    tail exponent).  A stationary regime takes the mean-field density at
-    the network's overlap means: deterministic labor drops the cross and
-    labor channels, LaborOnlyRisk the invest and cross ones, and with no
-    network the investment channel carries theta_bar alone.
-    """
-    if report.regime != market.STATIONARY:
+    report = market.classify_regime(params, cfg.production,
+                                    invest_overlap_mean=cfg.theta_bar())
+    stationary = report.regime == market.STATIONARY
+    if relative == stationary:
+        return params, report, None
+    if not stationary:
         alpha = report.tail_exponent
-        return relative_wealth_density(alpha) if alpha is not None else None
-    if cfg.network_spec is None:
-        invest, cross, labor = cfg.theta_bar(), 0.0, 0.0
-    else:
-        invest, cross, labor = cfg.build_network().overlap_means()
+        return params, report, relative_wealth_density(alpha) if alpha is not None else None
+    invest, cross, labor = cfg.build_network().overlap_means() if cfg.network_spec \
+        else (cfg.theta_bar(), 0.0, 0.0)
     if cfg.simulation.labor_deterministic:
         cross = labor = 0.0
     if cfg.scenario == "LaborOnlyRisk":
         invest = cross = 0.0
     state = market.clear(params, cfg.production, report.mean_wealth)
-    return stationary_density(mean_field_coeffs(params, state, invest, cross, labor))
+    return params, report, stationary_density(
+        mean_field_coeffs(params, state, invest, cross, labor))
 
 
 def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> dict:
@@ -121,16 +124,9 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     """
     if cfg.scenario is None:
         raise ConfigError("config has no [scenario] section")
-    params = _scenario_params(cfg)
-    report = market.classify_regime(params, cfg.production,
-                                    invest_overlap_mean=cfg.theta_bar())
-
-    # build the target first, so a config without a closed form fails
-    # before step 1; relative runs have one in a growth regime, absolute
-    # runs in a stationary one
+    # the target comes first, so a config without a closed form fails before step 1
     relative = cfg.scenario == "EndogenousGrowthRelative"
-    stationary = report.regime == market.STATIONARY
-    target = _target_density(cfg, params, report) if relative != stationary else None
+    params, report, target = _closed_form(cfg, relative)
     if relative:
         panel, metrics = _run_relative(cfg, params, report, threads)
     else:
@@ -210,9 +206,8 @@ def _run_relative(cfg: RunConfig, params, report, threads):
         raise ConfigError(
             "EndogenousGrowthRelative needs a growing economy;"
             " this configuration is stationary")
-    n = 10_000
-    if cfg.network_spec is not None and "file" not in cfg.network_spec:
-        n = cfg.network_spec["n_households"]
+    spec = cfg.network_spec or {}
+    n = cfg.build_network().n_households if "file" in spec else spec.get("n_households", 10_000)
     u0 = _initial_wealth(cfg, 1.0, n)
     u0 /= u0.mean()
 
@@ -285,12 +280,9 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("network_invariants", network_check))
 
     def covariance_check():
-        net = build_regular(40, 20,
-                            min(cfg.network_spec["invest_spread"], 20)
-                            if cfg.network_spec and "invest_spread" in cfg.network_spec else 4,
-                            min(cfg.network_spec["labor_spread"], 20)
-                            if cfg.network_spec and "labor_spread" in cfg.network_spec else 10,
-                            seed=3)
+        spec = cfg.network_spec or {}
+        net = build_regular(40, 20, min(spec.get("invest_spread", 4), 20),
+                            min(spec.get("labor_spread", 10), 20), seed=3)
         gen = _stream(1, 0)
         wealth = 1.0 + 0.2 * gen.uniform(-1.0, 1.0, 40)
         # always the full-noise variant: the deterministic-labor covariance is
@@ -311,10 +303,7 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("noise_covariance", covariance_check))
 
     def density_check():
-        scenario_params = _scenario_params(cfg)
-        report = market.classify_regime(scenario_params, pf,
-                                        invest_overlap_mean=cfg.theta_bar())
-        dens = _target_density(cfg, scenario_params, report)
+        dens = _closed_form(cfg)[2]
         if dens is None:
             return "growth regime without capital tax or firm noise: no stationary shape to check"
         if isinstance(dens, PointMassDensity):
@@ -332,7 +321,6 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
             return "capital return vanishes at large ratios: no growth transition"
         if params.tau_k == 0.0:
             return "tau_k = 0: both sides of the transition are untaxed, no finite index"
-        from .analytics import tail_exponent_growth, tail_exponent_stationary
         rho_inf = params.a * limit
         boundary = dataclasses.replace(params, nu=params.s * rho_inf)
         a_stat = tail_exponent_stationary(boundary, rho_inf, cfg.theta_bar())

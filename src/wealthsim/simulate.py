@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytics import _growth_coeffs
 from .errors import (
     ConfigError,
-    DegenerateDynamicsError,
     DomainError,
     NonFiniteError,
     PriceUndefinedError,
@@ -507,33 +507,28 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
                         initial, threads: int | None = None) -> WealthPanel:
     """Simulate wealth relative to the growing mean along a growth path.
 
-    Relative wealth reverts to 1 at rate ``s * return * tau_k`` and
-    carries multiplicative noise with variance rate
-    ``delta * s**2 * (1-tau_k)**2 * return**2 * overlap``.  Each step
-    is a Strang splitting whose parts are solved exactly: half a step
-    of relaxation ``1 + (u-1)*exp(-revert*dt/2)``, the geometric step
+    Relative wealth reverts to 1 at the drift slope of the growth
+    coefficients (``analytics._growth_coeffs``, which refuse tau_k = 0)
+    and carries multiplicative noise whose variance rate is their
+    ``var_quad``.  Each step is a Strang splitting whose parts are
+    solved exactly: half a step of relaxation
+    ``1 + (u-1)*exp(-revert*dt/2)``, the geometric step
     ``u*exp(sigma*dW - sigma**2*dt/2)``, then the other half step of
     relaxation, with one normal per household from the (seed, step)
     stream.  Relative wealth stays positive and its mean is kept in
-    expectation for any dt.  Without capital taxation there is nothing
-    to revert to and the run refuses.  The geometric factors are made
-    ahead of the update, by up to ``threads`` forked workers on long
-    runs (see ``_noise``); the panel does not depend on how many.
+    expectation for any dt.  The geometric factors are made ahead of
+    the update, by up to ``threads`` forked workers on long runs (see
+    ``_noise``); the panel does not depend on how many.
     """
-    if params.tau_k == 0.0:
-        raise DegenerateDynamicsError(
-            "tau_k = 0: relative wealth only spreads out; no stationary run exists")
-    if capital_return <= 0.0 or invest_overlap_mean <= 0.0:
-        raise DomainError("capital return and overlap must be positive")
+    coeffs = _growth_coeffs(params, capital_return, invest_overlap_mean)
     u = np.array(initial, dtype=float)
     if not np.all(u > 0.0):
         raise DomainError("initial relative wealth must be positive and finite")
     if abs(u.mean() - 1.0) > 1e-8:
         raise DomainError(f"initial relative wealth must average 1, got {u.mean()!r}")
 
-    revert = params.s * capital_return * params.tau_k
-    sigma = math.sqrt(params.delta) * params.s * (1.0 - params.tau_k) \
-        * capital_return * math.sqrt(invest_overlap_mean)
+    revert = coeffs.drift_slope
+    sigma = math.sqrt(coeffs.var_quad)
     if revert * config.dt >= 0.5 or sigma * sigma * config.dt >= 1.0:
         raise ConfigError("dt too coarse for the reversion or noise scale")
     decay = math.exp(-0.5 * revert * config.dt)

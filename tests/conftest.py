@@ -17,6 +17,15 @@ OMEGA_STAR = 0.7 * 4.0 ** (3.0 / 7.0)  # 1.2680131299694692
 RHO_INF = 0.2 ** (1.0 / 0.7)           # 0.10033938212454079
 NU_STAR = 0.2 * RHO_INF                # 0.02006787642490816
 
+# the shipped scenario configs cut to a few hundred steps ([simulation] keys)
+SHORT_RUNS = {
+    "complete_markets": {"t_end": "50", "record_every": "10"},
+    "labor_only": {"t_end": "60", "burn_in": "20", "record_every": "10"},
+    "incomplete_markets": {"t_end": "40", "burn_in": "20", "record_every": "5"},
+    "staggered_wages": {"t_end": "40", "burn_in": "20", "record_every": "5"},
+    "endogenous_growth": {"t_end": "50", "burn_in": "40", "record_every": "2.5"},
+}
+
 
 @pytest.fixture(scope="session")
 def cd_benchmark():

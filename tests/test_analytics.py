@@ -27,6 +27,7 @@ from wealthsim.analytics import (
     InverseGammaDensity,
     PearsonType4Density,
     PointMassDensity,
+    _growth_coeffs,
     log_log_slope,
     mean_field_coeffs,
     tail_exponent_growth,
@@ -40,7 +41,7 @@ from wealthsim.errors import (
     RegimeMismatchError,
 )
 from wealthsim.market import classify_regime, clear
-from wealthsim.scenarios import _scenario_params, _target_density
+from wealthsim.scenarios import _closed_form
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +91,33 @@ def test_tail_exponent_formulas(cd_benchmark):
     grow = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=300.0)
     assert tail_exponent_growth(grow, RHO_INF, 1.0) == \
         pytest.approx(1.1038143393561817, rel=1e-14)
+    # tau_k = 0 leaves the stationary index finite but refuses a growth
+    # one; no firm noise, or no reversion, leaves neither
+    assert tail_exponent_stationary(dataclasses.replace(params, tau_k=0.0), RHO_STAR, 0.1) > 1.0
     with pytest.raises(DegenerateDynamicsError):
         tail_exponent_growth(dataclasses.replace(grow, tau_k=0.0), RHO_INF, 1.0)
     with pytest.raises(DomainError):
+        tail_exponent_stationary(dataclasses.replace(params, delta=0.0), RHO_STAR, 0.1)
+    with pytest.raises(DomainError):
         tail_exponent_growth(dataclasses.replace(grow, delta=0.0), RHO_INF, 1.0)
+    with pytest.raises(RegimeMismatchError):
+        tail_exponent_stationary(params, 1.0, 0.1)
+    with pytest.raises(DomainError):
+        tail_exponent_growth(grow, -RHO_INF, 1.0)
+
+
+def test_growth_coefficients_give_the_relative_wealth_density():
+    # du = r(1-u)dt + sigma*u dW is the affine family with intercept =
+    # slope, whose inverse gamma has rate alpha - 1
+    cfg = load_config(CONFIG_DIR / "endogenous_growth.ini")
+    report = classify_regime(cfg.economy, cfg.production, invest_overlap_mean=cfg.theta_bar())
+    co = _growth_coeffs(cfg.economy, report.capital_return, cfg.theta_bar())
+    assert co.drift_intercept == co.drift_slope
+    assert co.tail_exponent == report.tail_exponent
+    q = np.linspace(0.001, 0.999, 501)
+    np.testing.assert_allclose(stationary_density(co).quantile(q),
+                               relative_wealth_density(co.tail_exponent).quantile(q),
+                               rtol=1e-13, atol=0)
 
 
 def test_boundary_identity_quick():
@@ -246,10 +270,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(scope="module")
 def shipped_pearson():
     """Coefficients of the incomplete_markets target density."""
-    cfg = load_config(CONFIG_DIR / "incomplete_markets.ini")
-    params = _scenario_params(cfg)
-    report = classify_regime(params, cfg.production, invest_overlap_mean=cfg.theta_bar())
-    return _target_density(cfg, params, report).coeffs
+    return _closed_form(load_config(CONFIG_DIR / "incomplete_markets.ini"))[2].coeffs
 
 
 # the shipped law, a near-Cauchy tail (alpha ~ 1.015), a narrow peak

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wealthsim.errors as errors_mod
+from wealthsim import config_from_dict
 from wealthsim.cli import main
 from wealthsim.errors import WealthsimError
 
@@ -108,8 +109,10 @@ def test_simulate_format_override(tmp_path, capsys):
                "--format", "json"])
     assert rc == 0
     capsys.readouterr()
-    assert (out_dir / "summary.json").exists()
     assert not (out_dir / "panel.csv").exists()
+    # the echoed config carries the override
+    echo = json.loads((out_dir / "summary.json").read_text())["config"]
+    assert config_from_dict(echo).outputs["format"] == "json"
 
 
 def test_sweep_stdout_matches_file(tmp_path, capsys):

@@ -26,18 +26,9 @@ from wealthsim.simulate import (
     step_absolute,
 )
 
-from conftest import P_BAR_STAR, RHO_INF
+from conftest import P_BAR_STAR, RHO_INF, SHORT_RUNS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-# the shipped scenario configs cut to a few hundred steps
-SHORT_RUNS = {
-    "complete_markets": {"t_end": "50", "record_every": "10"},
-    "labor_only": {"t_end": "60", "burn_in": "20", "record_every": "10"},
-    "incomplete_markets": {"t_end": "40", "burn_in": "20", "record_every": "5"},
-    "staggered_wages": {"t_end": "40", "burn_in": "20", "record_every": "5"},
-    "endogenous_growth": {"t_end": "50", "burn_in": "40", "record_every": "2.5"},
-}
 
 
 @pytest.fixture

@@ -7,9 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import P_BAR_STAR
-from wealthsim import config_from_dict, load_config, market, run_scenario, validate_checks
+from conftest import P_BAR_STAR, SHORT_RUNS
+from wealthsim import (
+    build_regular,
+    config_from_dict,
+    load_config,
+    market,
+    run_scenario,
+    save_network,
+    validate_checks,
+)
 from wealthsim.errors import ConfigError
+from wealthsim.scenarios import _closed_form
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -162,6 +171,14 @@ def test_endogenous_growth_scenario():
     assert summary["ks_distance"] is not None
 
 
+def test_relative_run_takes_its_size_from_the_network_file(tmp_path):
+    path = tmp_path / "net.txt"
+    save_network(build_regular(60, 30, 3, 1, seed=0), path)
+    cfg = _growth_relative_cfg().with_raw("network", file=str(path))
+    summary = run_scenario(cfg)
+    assert summary["moments"]["n"] == 60 * summary["snapshot_count"]
+
+
 @pytest.mark.parametrize("make_cfg", [_incomplete_cfg, _growth_relative_cfg])
 def test_missing_target_fails_before_the_run(monkeypatch, make_cfg):
     from wealthsim import scenarios
@@ -173,7 +190,8 @@ def test_missing_target_fails_before_the_run(monkeypatch, make_cfg):
     def never(*args, **kwargs):
         raise AssertionError("the run started before its target was built")
 
-    monkeypatch.setattr(scenarios, "_target_density", no_closed_form)
+    monkeypatch.setattr(scenarios, "stationary_density", no_closed_form)
+    monkeypatch.setattr(scenarios, "relative_wealth_density", no_closed_form)
     monkeypatch.setattr(scenarios, "run_absolute", never)
     monkeypatch.setattr(scenarios, "run_relative_growth", never)
     with pytest.raises(DegenerateDiscriminantError):
@@ -222,6 +240,19 @@ def test_validate_checks_pass_on_shipped_config(name):
     assert _SHIPPED_TARGETS[name] in checks[4]["detail"]
     if name == "incomplete_markets":
         assert "no growth transition" in checks[5]["detail"]
+
+
+@pytest.mark.parametrize("name", ["endogenous_growth", "incomplete_markets", "staggered_wages"])
+def test_one_tail_exponent_per_shipped_config(name):
+    # the alpha regime prints, the summary's alpha_analytic and the
+    # target density's tail come from the same coefficients
+    cfg = load_config(CONFIG_DIR / f"{name}.ini").with_raw("simulation", **SHORT_RUNS[name])
+    alpha = _closed_form(cfg)[2].tail_exponent
+    regime = market.classify_regime(cfg.economy, cfg.production,
+                                    invest_overlap_mean=cfg.theta_bar())
+    summary = run_scenario(cfg)
+    assert regime.tail_exponent == pytest.approx(alpha, rel=1e-12, abs=0)
+    assert summary["metrics"]["alpha_analytic"] == pytest.approx(alpha, rel=1e-12, abs=0)
 
 
 def test_euler_check_tests_the_prices_every_step_uses(monkeypatch):
