@@ -29,8 +29,8 @@ from .errors import (
     PriceUndefinedError,
     WealthsimError,
 )
-from .runconfig import SWEEPABLE, RunConfig, load_config
-from .scenarios import run_scenario, validate_checks, write_summary
+from .runconfig import RunConfig, load_config
+from .scenarios import run_scenario, scenario_economy, validate_checks, write_summary
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,29 +44,32 @@ _REGIME_LABELS = {
 }
 
 
+_FLAGS = {
+    "out": dict(help="output directory (default from [outputs], else stdout only)"),
+    "seed": dict(type=int, help="override the simulation seed"),
+    "format": dict(choices=("csv", "json"), help="override the [outputs] format"),
+    "threads": dict(type=int, help="most noise worker processes a long simulation forks "
+                                   "(default 2; env WEALTHSIM_THREADS as fallback); "
+                                   "results do not depend on it"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wealthsim",
         description="Simulate and analyze a stochastic wealth-distribution economy.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("regime", "classify the configured economy and print its equilibrium"),
-        ("simulate", "run the configured scenario and write panel + summary"),
-        ("sweep", "tabulate regime and tail index over a parameter grid"),
-        ("validate", "run internal consistency checks"),
+    for name, text, flags in (
+        ("regime", "classify the configured economy and print its equilibrium", ("out",)),
+        ("simulate", "run the configured scenario and write panel + summary",
+         ("out", "seed", "format", "threads")),
+        ("sweep", "tabulate regime and tail index over a parameter grid", ("out",)),
+        ("validate", "run internal consistency checks", ()),
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the run config file")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the simulation seed")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (default from [outputs], else stdout only)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None,
-                         help="override the [outputs] format")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="most noise worker processes a long simulation forks "
-                              "(default 2; env WEALTHSIM_THREADS as fallback); "
-                              "results do not depend on it")
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -87,23 +90,13 @@ def _resolve_threads(args) -> int | None:
     return n
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    if args.format is not None:
-        cfg = cfg.with_raw("outputs", format=args.format)
-    return cfg
-
-
 def _out_dir(args, cfg) -> str | None:
     return args.out if args.out is not None else cfg.outputs.get("directory")
 
 
 def cmd_regime(args) -> int:
-    cfg = _load(args)
-    report = market.classify_regime(cfg.economy, cfg.production,
-                                    invest_overlap_mean=cfg.theta_bar())
+    cfg = load_config(args.config)
+    report = scenario_economy(cfg)[1]
     label = _REGIME_LABELS[report.regime]
     bits = [label]
     if report.regime == market.STATIONARY:
@@ -126,7 +119,11 @@ def cmd_regime(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)
+    if args.format is not None:
+        cfg = cfg.with_raw("outputs", format=args.format)
     threads = _resolve_threads(args)
     summary = run_scenario(cfg, out_dir=_out_dir(args, cfg), threads=threads)
     line = {k: summary["metrics"][k] for k in sorted(summary.get("metrics", {}))}
@@ -181,7 +178,7 @@ def sweep_rows(cfg: RunConfig) -> list[list[str]]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     rows = [["parameter", "value", "regime", "alpha", "p_bar_star", "psi_eg"]] + sweep_rows(cfg)
     out = _out_dir(args, cfg)
     if out is not None:
@@ -193,7 +190,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     checks = validate_checks(cfg)
     print(json.dumps({"checks": checks, "passed": all(c["passed"] for c in checks)},
                      indent=2))

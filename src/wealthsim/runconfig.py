@@ -35,21 +35,24 @@ Notes on individual keys:
   sweep configs quoted as a noise-times-overlap product: the value is
   stored as ``delta`` and the overlap defaults to 1 unless a network
   section supplies one.  Giving both keys is an error.
-* ``[network] file`` loads a saved network instead of building one.
+* ``[network] file`` loads a saved network instead of building one and
+  takes none of the build keys.
 * ``[simulation] initial`` is either a number (common starting wealth)
   or ``stationary`` (start at the stationary mean); ``initial_spread``
   adds seeded uniform relative jitter in ``(-spread, +spread)``.
   EndogenousGrowthRelative starts at relative wealth 1 and rejects
   ``initial``.
 * ``[sweep]`` takes ``parameter`` plus either ``values`` (whitespace or
-  comma separated) or ``start``/``stop``/``count`` for a uniform grid.
+  comma separated) or ``start``/``stop``/``count`` for a uniform grid,
+  not both.
 * A numeric key must hold a finite number: ``nan`` and ``inf`` are
   config errors.
 
 Scenario names: CompleteMarkets, LaborOnlyRisk, IncompleteMarkets,
 StaggeredWages, EndogenousGrowthRelative.  The first two pin the
 corresponding allocation spread to the firm count (full
-diversification).  StaggeredWages is the scenario with deterministic
+diversification); a network file must hold every firm at weight 1/F on
+the pinned sides.  StaggeredWages is the scenario with deterministic
 labor income; no key selects that on its own.
 """
 
@@ -63,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NetworkBuildError
 from .network import AllocationNetwork, build_regular, load_network
 from .params import CES, CobbDouglas, EconomyParams, ProductionFunction, validate_params
 from .simulate import SimulationConfig
@@ -80,7 +83,10 @@ SCENARIOS = (
 SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 
 _ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
-_NETWORK_KEYS = {"file", "n_households", "n_firms", "invest_spread", "labor_spread", "seed"}
+_BUILD_KEYS = ("n_households", "n_firms", "invest_spread", "labor_spread", "seed")
+_GRID_KEYS = ("start", "stop", "count")
+# allocation sides a scenario spreads over every firm
+_PINNED = {"CompleteMarkets": ("invest", "labor"), "LaborOnlyRisk": ("invest",)}
 _SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed",
                     "initial", "initial_spread"}
 
@@ -110,6 +116,12 @@ def _reject_unknown(section, raw, allowed):
     extra = set(raw) - allowed
     if extra:
         raise ConfigError(f"[{section}] has unknown keys: {', '.join(sorted(extra))}")
+
+
+def _reject_beside(section, raw, key, others):
+    given = [k for k in others if k in raw]
+    if key in raw and given:
+        raise ConfigError(f"[{section}] give either {key} or {', '.join(given)}, not both")
 
 
 @dataclass(frozen=True)
@@ -144,9 +156,19 @@ class RunConfig:
         if self.network_spec is None:
             raise ConfigError("this run has no [network] section")
         spec = dict(self.network_spec)
-        if "file" in spec:
-            return load_network(spec["file"])
-        return build_regular(**spec)
+        if "file" not in spec:
+            return build_regular(**spec)
+        net = load_network(spec["file"])
+        f = net.n_firms
+        for side in _PINNED.get(self.scenario, ()):
+            mat = getattr(net, side)
+            # min() counts the zeros of a row that misses a firm
+            if max(abs(mat.min() - 1.0 / f), abs(mat.max() - 1.0 / f)) > 1e-12:
+                raise NetworkBuildError(
+                    f"{self.scenario} requires every household to hold all {f} firms"
+                    f" at weight 1/{f} on the {side} side; network file"
+                    f" {spec['file']} does not")
+        return net
 
     def theta_bar(self) -> float:
         """Mean self-overlap of investment portfolios for analytic formulas.
@@ -182,8 +204,7 @@ class RunConfig:
 
 def _parse_economy(raw) -> EconomyParams:
     _reject_unknown("economy", raw, _ECONOMY_KEYS)
-    if "delta_theta_product" in raw and "delta" in raw:
-        raise ConfigError("[economy] give either delta or delta_theta_product, not both")
+    _reject_beside("economy", raw, "delta", ("delta_theta_product",))
     values = {
         "s": _float("economy", "s", raw),
         "tau_k": _float("economy", "tau_k", raw, 0.0),
@@ -222,7 +243,8 @@ def _parse_production(raw) -> ProductionFunction:
 def _parse_network(raw) -> dict | None:
     if raw is None:
         return None
-    _reject_unknown("network", raw, _NETWORK_KEYS)
+    _reject_unknown("network", raw, {"file", *_BUILD_KEYS})
+    _reject_beside("network", raw, "file", _BUILD_KEYS)
     if "file" in raw:
         path = raw["file"].strip()
         if not os.path.exists(path):
@@ -269,7 +291,8 @@ def _parse_simulation(raw) -> tuple[SimulationConfig, str | float, float]:
 def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
     if raw is None:
         return None
-    _reject_unknown("sweep", raw, {"parameter", "values", "start", "stop", "count"})
+    _reject_unknown("sweep", raw, {"parameter", "values", *_GRID_KEYS})
+    _reject_beside("sweep", raw, "values", _GRID_KEYS)
     parameter = raw.get("parameter", "").strip()
     if parameter not in SWEEPABLE:
         raise ConfigError(
@@ -297,12 +320,11 @@ def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
 def _apply_scenario_constraints(scenario, network_spec,
                                 sim: SimulationConfig) -> SimulationConfig:
     """Check the network and pin the stepping choices a scenario presupposes."""
-    if scenario in ("CompleteMarkets", "LaborOnlyRisk") and network_spec is not None \
-            and "file" not in network_spec:
+    if network_spec is not None and "file" not in network_spec:
+        # a network file is checked where it is loaded
         f = network_spec["n_firms"]
-        pin = ("invest_spread",) if scenario == "LaborOnlyRisk" \
-            else ("invest_spread", "labor_spread")
-        for key in pin:
+        for side in _PINNED.get(scenario, ()):
+            key = f"{side}_spread"
             if network_spec[key] != f:
                 raise ConfigError(
                     f"{scenario} requires {key} = n_firms ({f}), got {network_spec[key]}")

@@ -38,7 +38,7 @@ from .simulate import (
 )
 from .tails import hill, ks_distance, moments, write_ccdf_table
 
-__all__ = ["run_scenario", "validate_checks", "write_summary"]
+__all__ = ["run_scenario", "scenario_economy", "validate_checks", "write_summary"]
 
 _INIT_STREAM = 2 ** 63  # step index reserved for initial-condition draws
 
@@ -79,24 +79,33 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
-def _closed_form(cfg: RunConfig, relative: bool | None = None):
-    """The economy a config runs on, its regime and its closed-form target.
+def scenario_economy(cfg: RunConfig):
+    """The economy a config's scenario runs on and its regime at theta_bar.
 
-    Returns ``(params, report, target)``.  A growth regime's target is
-    the density of relative wealth (None without a tail exponent), a
-    stationary one's the mean-field density at the network's overlap
-    means, or at theta_bar alone with no network, less the channels the
-    scenario shuts.  A run passes its kind as ``relative`` and gets a
-    target only in the regime that kind measures; with None it is
-    always built.
+    Returns ``(params, report)``: the configured economy, less the firm
+    noise CompleteMarkets pools away.
     """
     params = cfg.economy
     if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
         # every household holds every firm, so idiosyncratic risk pools away;
         # finite-firm residual noise is not part of this scenario
         params = dataclasses.replace(params, delta=0.0)
-    report = market.classify_regime(params, cfg.production,
-                                    invest_overlap_mean=cfg.theta_bar())
+    return params, market.classify_regime(params, cfg.production,
+                                          invest_overlap_mean=cfg.theta_bar())
+
+
+def _closed_form(cfg: RunConfig, relative: bool | None = None):
+    """The economy a config runs on, its regime and its closed-form target.
+
+    Returns ``(params, report, target)``: ``scenario_economy`` plus the
+    target.  A growth regime's target is the density of relative wealth
+    (None without a tail exponent), a stationary one's the mean-field
+    density at the network's overlap means, or at theta_bar alone with
+    no network, less the channels the scenario shuts.  A run passes its
+    kind as ``relative`` and gets a target only in the regime that kind
+    measures; with None it is always built.
+    """
+    params, report = scenario_economy(cfg)
     stationary = report.regime == market.STATIONARY
     if relative == stationary:
         return params, report, None

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import wealthsim.errors as errors_mod
-from wealthsim import config_from_dict
-from wealthsim.cli import main
+from wealthsim import build_regular, config_from_dict, save_network
+from wealthsim.cli import _build_parser, main
 from wealthsim.errors import WealthsimError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -86,6 +87,48 @@ def test_regime_writes_json(tmp_path, capsys):
     data = json.loads((out_dir / "regime.json").read_text())
     assert data["regime"]["regime"] == "stationary"
     assert data["config"]["economy"]["delta"] == "700"
+
+
+def test_regime_reports_the_pooled_economy(tmp_path, capsys):
+    # CompleteMarkets pools the firm noise away, so there is no Pareto tail
+    out_dir = tmp_path / "report"
+    rc = main(["regime", "--config", str(CONFIG_DIR / "complete_markets.ini"),
+               "--out", str(out_dir)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "Stationary, p_bar_star=7.24579, rho_star=0.075, omega_star=1.26801\n")
+    data = json.loads((out_dir / "regime.json").read_text())
+    assert data["regime"]["tail_exponent"] is None
+    assert data["config"]["economy"]["delta"] == "1.0"
+
+
+# the flags each command reads besides --config, and a value for every flag
+COMMAND_FLAGS = {"regime": {"--out"}, "simulate": {"--out", "--seed", "--format", "--threads"},
+                 "sweep": {"--out"}, "validate": set()}
+FLAG_VALUES = {"--out": "o", "--seed": "5", "--format": "json", "--threads": "0"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_each_command_takes_only_the_flags_it_reads(command, flag, capsys):
+    argv = [command, "--config", str(CONFIG_DIR / "nu_sweep.ini"), flag, FLAG_VALUES[flag]]
+    if flag in COMMAND_FLAGS[command]:
+        args = _build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
+        return
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_only_the_flags_a_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    shown = set(re.findall(r"--\w+", capsys.readouterr().out))
+    assert shown == COMMAND_FLAGS[command] | {"--config", "--help"}
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -170,6 +213,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "cannot read config" in capsys.readouterr().err
 
+    # a key the other form of the section would ignore
+    net = tmp_path / "net.txt"
+    save_network(build_regular(100, 100, 2, 10, seed=7), net)
+    cfg = _write(tmp_path, SMALL_RUN.replace("seed = 7", f"seed = 7\n    file = {net}"))
+    assert main(["regime", "--config", cfg]) == 2
+    assert "give either file or" in capsys.readouterr().err
+    cfg = _write(tmp_path, SWEEP_ECONOMY.format(parameter="nu") + "start = 0.01\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "give either values or start" in capsys.readouterr().err
+
 
 def test_corrupt_network_file_exits_1(tmp_path, capsys):
     net = tmp_path / "net.txt"
@@ -183,6 +236,23 @@ def test_corrupt_network_file_exits_1(tmp_path, capsys):
         for command in (["regime"], ["validate"], ["simulate", "--out", str(tmp_path / "o")]):
             assert main([command[0], "--config", cfg] + command[1:]) == 1, (text, command)
     assert "NetworkBuildError" in capsys.readouterr().err
+
+
+def test_pinned_scenarios_check_a_network_file(tmp_path, capsys):
+    # CompleteMarkets and LaborOnlyRisk spread investments over every firm
+    net = tmp_path / "net.txt"
+    base = SMALL_RUN.replace(
+        "n_households = 100\n    n_firms = 100\n    invest_spread = 2\n"
+        "    labor_spread = 10\n    seed = 7\n", f"file = {net}\n")
+    for scenario in ("CompleteMarkets", "LaborOnlyRisk"):
+        cfg = _write(tmp_path, base.replace("IncompleteMarkets", scenario))
+        for spread, code in ((2, 1), (10, 0)):
+            save_network(build_regular(100, 10, spread, spread, seed=7), net)
+            for command in (["regime"], ["validate"],
+                            ["simulate", "--out", str(tmp_path / "o")]):
+                rc = main([command[0], "--config", cfg] + command[1:])
+                assert rc == code, (scenario, spread, command)
+    assert "at weight 1/10" in capsys.readouterr().err
 
 
 SWEEP_ECONOMY = """\

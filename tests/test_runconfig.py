@@ -18,7 +18,7 @@ from wealthsim import (
 )
 from wealthsim import runconfig
 from wealthsim.cli import main
-from wealthsim.errors import ConfigError
+from wealthsim.errors import ConfigError, NetworkBuildError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -211,6 +211,28 @@ def test_scenario_pins_network_spreads(tmp_path):
         _load(tmp_path, base.format(inv=2, lab=2, name="Autarky"))
 
 
+def test_scenario_pins_hold_for_a_network_file(tmp_path):
+    net_path = tmp_path / "net.txt"
+    text = MINIMAL + f"\n[network]\nfile = {net_path}\n\n[scenario]\nname = {{}}\n"
+    for inv, lab, name, loads in ((10, 10, "CompleteMarkets", True),
+                                  (10, 2, "CompleteMarkets", False),
+                                  (2, 10, "CompleteMarkets", False),
+                                  (10, 2, "LaborOnlyRisk", True),
+                                  (5, 10, "LaborOnlyRisk", False)):
+        save_network(build_regular(100, 10, inv, lab, seed=1), net_path)
+        cfg = _load(tmp_path, text.format(name))
+        if loads:
+            assert cfg.build_network().n_firms == 10
+        else:
+            with pytest.raises(NetworkBuildError, match="all 10 firms at weight 1/10"):
+                cfg.build_network()
+    # every firm held, but not at equal weights
+    net_path.write_text("2 2 4 4\n0 0 0.75\n0 1 0.25\n1 0 0.5\n1 1 0.5\n"
+                        "0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n")
+    with pytest.raises(NetworkBuildError, match="invest side"):
+        _load(tmp_path, text.format("LaborOnlyRisk")).build_network()
+
+
 def test_staggered_wages_forces_deterministic_labor(tmp_path):
     base = """\
         [economy]
@@ -247,7 +269,10 @@ def test_sweep_values_and_grid(tmp_path):
                  "parameter = nu\nstart = 0.1\nstop = 0.5\ncount = 0",
                  "parameter = nu\nstart = 0.1\nstop = 0.5\ncount = nan",
                  "parameter = nu\nvalues = a b",
-                 "parameter = theta_bar\nvalues = 1 inf"):
+                 "parameter = theta_bar\nvalues = 1 inf",
+                 # a grid key beside values would be ignored
+                 "parameter = nu\nvalues = 0.01\nstart = 0.1",
+                 "parameter = nu\nvalues = 0.01\ncount = 3"):
         with pytest.raises(ConfigError):
             _load(tmp_path, MINIMAL + "\n[sweep]\n" + tail + "\n")
 
@@ -292,6 +317,10 @@ def test_network_from_file(tmp_path):
     assert cfg.theta_bar() == pytest.approx(1.0 / 3.0, rel=1e-12)
     with pytest.raises(ConfigError):
         _load(tmp_path, MINIMAL + "\n[network]\nfile = /nonexistent/net.txt\n")
+    # a build key beside file would be ignored
+    for line in ("invest_spread = 7", "n_households = 3", "seed = 1"):
+        with pytest.raises(ConfigError, match="give either file or"):
+            _load(tmp_path, MINIMAL + f"\n[network]\nfile = {net_path}\n{line}\n")
 
 
 def test_network_file_is_loaded_once_per_config(tmp_path, monkeypatch):
