@@ -5,12 +5,14 @@ mean household wealth, the return on capital is the marginal product
 there, and the wage is the residual of output per worker.  Whether mean
 wealth settles at a fixed point or grows forever depends only on how the
 saving rate times productivity compares with the consumption rate at
-large wealth.
+large wealth.  Every fixed point is bisected in float rank over one
+range of ratios, ``RATIO_RANGE``, so no root needs a bracket search.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass
 
 from .analytics import tail_exponent_growth, tail_exponent_stationary
@@ -34,6 +36,10 @@ __all__ = [
 STATIONARY = "stationary"
 ENDOGENOUS_GROWTH = "endogenous_growth"
 CONDITIONAL_GROWTH = "conditional_endogenous_growth"
+
+# capital-labor ratios every root is bisected on; both technologies'
+# value and derivative are finite over the whole range
+RATIO_RANGE = (1e-300, 1e300)
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,26 @@ def _aggregate_drift(params, pf, p):
     return params.s * params.a * pf.value(p) - params.chi - params.nu * p
 
 
-def _bisect(f, xa, xb):
-    """Root of ``f`` between ``xa`` and ``xb`` by bisection.
+def _rank(x):
+    """Position of ``x`` in the order of all floats: its bit pattern read
+    as an int64, mirrored for negative floats, so -0.0 and 0.0 share 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
-    Halves the bracket until its two ends are adjacent floats and
-    returns the end with the smaller ``|f|`` (the lower end on a tie),
-    or a midpoint where ``f`` is exactly zero.  A bracket without a sign
-    change or a NaN value raises NoStationaryStateError.
+
+def _unrank(r):
+    return struct.unpack("<d", struct.pack("<q", r))[0] if r >= 0 else -_unrank(-r)
+
+
+def _bisect(f, xa, xb):
+    """Root of ``f`` between ``xa`` and ``xb`` by bisection in float rank.
+
+    Each midpoint halves the number of floats left in the bracket, not
+    its length, so the two ends are adjacent floats after at most 64
+    halvings from any bracket.  Returns the end with the smaller ``|f|``
+    (the lower end on a tie), or a midpoint where ``f`` is exactly zero.
+    A bracket without a sign change or a NaN value raises
+    NoStationaryStateError.
     """
     def value(x):
         fx = float(f(x))
@@ -94,42 +113,18 @@ def _bisect(f, xa, xb):
     if (flo > 0.0) == (fhi > 0.0):
         raise NoStationaryStateError(
             f"no sign change between {xa!r} and {xb!r}; the root is not bracketed")
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid == lo or mid == hi:
-            return hi if abs(fhi) < abs(flo) else lo
+    rlo, rhi = _rank(lo), _rank(hi)
+    while rhi - rlo > 1:
+        rmid = (rlo + rhi) // 2
+        mid = _unrank(rmid)
         fmid = value(mid)
         if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+            lo, flo, rlo = mid, fmid, rmid
         else:
-            hi, fhi = mid, fmid
-
-
-def _expand_upper(params, pf, hi_start=1e6, cap=1e280):
-    hi = hi_start
-    while _aggregate_drift(params, pf, hi) >= 0.0:
-        hi *= 10.0
-        if hi > cap:
-            raise NoStationaryStateError(
-                "aggregate drift stayed non-negative past the bracket cap; "
-                "the economy is not in the stationary regime")
-    return hi
-
-
-def _solve_ratio_with_slope(params, pf, target, lo=1e-12, hi=1e12):
-    """Ratio at which s*a*g' equals ``target`` (g' is decreasing)."""
-    fn = lambda p: params.s * params.a * pf.derivative(p) - target
-    while fn(lo) <= 0.0:
-        lo /= 100.0
-        if lo < 1e-250:
-            raise NoStationaryStateError("could not bracket the slope equation from below")
-    while fn(hi) >= 0.0:
-        hi *= 100.0
-        if hi > 1e250:
-            raise NoStationaryStateError("could not bracket the slope equation from above")
-    return _bisect(fn, lo, hi)
+            hi, fhi, rhi = mid, fmid, rmid
+    return hi if abs(fhi) < abs(flo) else lo
 
 
 def _grows(params: EconomyParams, pf: ProductionFunction) -> bool:
@@ -155,37 +150,25 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
             f"no stationary state: s*a*g'(inf) exceeds nu={params.nu:.6g}")
 
     drift = lambda p: _aggregate_drift(params, pf, p)
-    drift_at_zero = params.s * params.a * pf.value_at_zero() - params.chi
+    lo, hi = RATIO_RANGE
+    if params.s * params.a * pf.value_at_zero() > params.chi:
+        return float(_bisect(drift, lo, hi)), None
 
-    if drift_at_zero > 0.0:
-        lo = 1e-6
-        while drift(lo) <= 0.0:
-            lo /= 100.0
-            if lo < 1e-250:
-                raise NoStationaryStateError("could not bracket the fixed point from below")
-        hi = _expand_upper(params, pf)
-        stable = _bisect(drift, lo, hi)
-        return float(stable), None
-
-    # drift starts negative: find its maximum, then both crossings
-    peak = _solve_ratio_with_slope(params, pf, params.nu)
-    if drift(peak) < 0.0:
+    # drift starts non-positive and rises up to its peak, where s*a*g' = nu
+    peak = _bisect(lambda p: params.s * params.a * pf.derivative(p) - params.nu, lo, hi)
+    top = drift(peak)
+    if top < 0.0:
         raise NoStationaryStateError(
             "subsistence consumption exceeds savings at every wealth level; "
             "aggregate wealth collapses for any initial condition")
-    if drift(peak) == 0.0:
+    if top == 0.0:
         return float(peak), float(peak)
-    hi = _expand_upper(params, pf)
     stable = _bisect(drift, peak, hi)
-    lo = peak
-    while drift(lo) >= 0.0:
-        lo /= 100.0
-        if lo < 1e-250:
-            # drift never turns negative below the peak (chi at the
-            # boundary value): the origin itself is the only lower root
-            return float(stable), None
-    threshold = _bisect(drift, lo, peak)
-    return float(stable), float(threshold)
+    if drift(lo) >= 0.0:
+        # drift never turns negative below the peak (chi at the boundary
+        # value): the origin itself is the only lower root
+        return float(stable), None
+    return float(stable), float(_bisect(drift, lo, peak))
 
 
 def stationary_mean_wealth(params: EconomyParams, pf: ProductionFunction) -> float:

@@ -36,7 +36,8 @@ Notes on individual keys:
   stored as ``delta`` and the overlap defaults to 1 unless a network
   section supplies one.  Giving both keys is an error.
 * ``[network] file`` loads a saved network instead of building one and
-  takes none of the build keys.
+  takes none of the build keys.  Either way the network's mean
+  self-overlaps are measured once per config (``overlap_means``).
 * ``[simulation] initial`` is either a number (common starting wealth)
   or ``stationary`` (start at the stationary mean); ``initial_spread``
   adds seeded uniform relative jitter in ``(-spread, +spread)``.
@@ -170,19 +171,26 @@ class RunConfig:
                     f" {spec['file']} does not")
         return net
 
-    def theta_bar(self) -> float:
-        """Mean self-overlap of investment portfolios for analytic formulas.
+    def overlap_means(self) -> tuple[float, float, float]:
+        """Mean (invest, cross, labor) self-overlaps for analytic formulas.
 
-        A regular network pins it to 1/invest_spread without being
-        built; a network file is loaded once and measured; with no
-        network it is 1, so ``delta`` (or ``delta_theta_product``) is
-        the whole noise-times-overlap product.
+        Measured once per config on the configured network, which is
+        built or loaded for it; with no network they are (1, 0, 0), so
+        ``delta`` (or ``delta_theta_product``) is the whole
+        noise-times-overlap product.
         """
+        return self._overlap_means
+
+    @cached_property
+    def _overlap_means(self) -> tuple[float, float, float]:
         if self.network_spec is None:
-            return 1.0
-        if "file" in self.network_spec:
-            return self.build_network().overlap_means()[0]
-        return 1.0 / self.network_spec["invest_spread"]
+            return 1.0, 0.0, 0.0
+        return self.build_network().overlap_means()
+
+    def theta_bar(self) -> float:
+        """Mean self-overlap of investment portfolios, the first of
+        ``overlap_means()``."""
+        return self.overlap_means()[0]
 
     def to_dict(self) -> dict:
         return {section: dict(keys) for section, keys in self.raw.items()}

@@ -100,10 +100,10 @@ def _closed_form(cfg: RunConfig, relative: bool | None = None):
     Returns ``(params, report, target)``: ``scenario_economy`` plus the
     target.  A growth regime's target is the density of relative wealth
     (None without a tail exponent), a stationary one's the mean-field
-    density at the network's overlap means, or at theta_bar alone with
-    no network, less the channels the scenario shuts.  A run passes its
-    kind as ``relative`` and gets a target only in the regime that kind
-    measures; with None it is always built.
+    density at the config's overlap means, less the channels the
+    scenario shuts.  A run passes its kind as ``relative`` and gets a
+    target only in the regime that kind measures; with None it is always
+    built.
     """
     params, report = scenario_economy(cfg)
     stationary = report.regime == market.STATIONARY
@@ -112,8 +112,7 @@ def _closed_form(cfg: RunConfig, relative: bool | None = None):
     if not stationary:
         alpha = report.tail_exponent
         return params, report, relative_wealth_density(alpha) if alpha is not None else None
-    invest, cross, labor = cfg.build_network().overlap_means() if cfg.network_spec \
-        else (cfg.theta_bar(), 0.0, 0.0)
+    invest, cross, labor = cfg.overlap_means()
     if cfg.simulation.labor_deterministic:
         cross = labor = 0.0
     if cfg.scenario == "LaborOnlyRisk":
@@ -215,8 +214,7 @@ def _run_relative(cfg: RunConfig, params, report, threads):
         raise ConfigError(
             "EndogenousGrowthRelative needs a growing economy;"
             " this configuration is stationary")
-    spec = cfg.network_spec or {}
-    n = cfg.build_network().n_households if "file" in spec else spec.get("n_households", 10_000)
+    n = cfg.build_network().n_households if cfg.network_spec else 10_000
     u0 = _initial_wealth(cfg, 1.0, n)
     u0 /= u0.mean()
 

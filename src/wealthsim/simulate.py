@@ -422,35 +422,42 @@ def _noise_worker(blocks, slots, make, free_r, ready_w):
         os._exit(code)
 
 
-def _record(config: SimulationConfig, state: np.ndarray, advance, noise):
+def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
+            threads) -> WealthPanel:
     """Step ``state`` through ``advance(state, step, mean, rows)`` and keep
     the snapshots.
 
-    ``rows`` is the step's noise, the next item of ``noise``.
-    ``mean`` is the mean of the state handed in, the one reduction per
-    step.  It doubles as the finiteness check: a finite mean means every
-    entry is finite, so only a non-finite mean costs a scan, and a state
-    with a non-finite entry raises NonFiniteError carrying the step
-    index.  The state is recorded at t=0 when there is no burn-in, then
-    every ``record_every`` from ``burn_in`` on.  Returns the recording
-    times and the stacked snapshots.
+    ``rows`` is the step's noise: ``make(step)``, ``width`` values wide,
+    planned by ``_noise`` for ``threads`` workers.  ``mean`` is the mean
+    of the state handed in, the one reduction per step.  It doubles as
+    the finiteness check: a finite mean means every entry is finite, so
+    only a non-finite mean costs a scan, and a state with a non-finite
+    entry raises NonFiniteError carrying the step index.  The state is
+    recorded at t=0 when there is no burn-in, then every
+    ``record_every`` from ``burn_in`` on.  Returns the panel, counting
+    the steps and the noise workers.
     """
     steps_total, burn_steps, rec_steps = config.step_counts()
     times, snaps = [], []
     if burn_steps == 0:
         times.append(0.0)
         snaps.append(state.copy())
-    # sum / size is exactly what ndarray.mean computes, without its overhead
-    mean = state.sum() / state.size
-    for step in range(1, steps_total + 1):
-        state = advance(state, step, mean, next(noise))
+    workers, noise = _noise(steps_total, width, make, threads)
+    try:
+        # sum / size is exactly what ndarray.mean computes, without its overhead
         mean = state.sum() / state.size
-        if not math.isfinite(mean) and not np.all(np.isfinite(state)):
-            raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
-        if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
-            times.append(step * config.dt)
-            snaps.append(state.copy())
-    return np.array(times), np.array(snaps)
+        for step in range(1, steps_total + 1):
+            state = advance(state, step, mean, next(noise))
+            mean = state.sum() / state.size
+            if not math.isfinite(mean) and not np.all(np.isfinite(state)):
+                raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
+            if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
+                times.append(step * config.dt)
+                snaps.append(state.copy())
+    finally:
+        noise.close()
+    return WealthPanel(times=np.array(times), snapshots=np.array(snaps),
+                       counters={"steps": steps_total, "noise_workers": workers})
 
 
 def run_absolute(config: SimulationConfig, params: EconomyParams,
@@ -473,7 +480,7 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     if dt_guard_max >= 0.1:
         raise ConfigError(
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
-    steps, f = config.step_counts()[0], net.n_firms
+    f = net.n_firms
 
     def make(step):
         return sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
@@ -490,16 +497,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
         inc += p
         return inc
 
-    workers, noise = _noise(steps, f, make, threads)
-    try:
-        times, snaps = _record(config, p, advance, noise)
-    finally:
-        noise.close()
-    return WealthPanel(
-        times=times,
-        snapshots=snaps,
-        counters={"steps": steps, "dt_guard_max": dt_guard_max, "noise_workers": workers},
-    )
+    panel = _record(config, p, advance, make, f, threads)
+    panel.counters["dt_guard_max"] = dt_guard_max
+    return panel
 
 
 def run_relative_growth(config: SimulationConfig, params: EconomyParams,
@@ -533,7 +533,7 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         raise ConfigError("dt too coarse for the reversion or noise scale")
     decay = math.exp(-0.5 * revert * config.dt)
     sq = math.sqrt(config.dt)
-    steps, n = config.step_counts()[0], u.shape[0]
+    n = u.shape[0]
 
     def make(step):
         # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
@@ -554,13 +554,7 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         v += 1.0
         return v
 
-    workers, noise = _noise(steps, n, make, threads)
-    try:
-        times, snaps = _record(config, u, advance, noise)
-    finally:
-        noise.close()
-    return WealthPanel(times=times, snapshots=snaps,
-                       counters={"steps": steps, "noise_workers": workers})
+    return _record(config, u, advance, make, n, threads)
 
 
 def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,

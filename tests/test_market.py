@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,10 +145,11 @@ def test_ces_stationary_mean():
 
 def test_power_technology_mean_closed_form():
     gen = np.random.default_rng(3)
-    for _ in range(20):
-        nu = gen.uniform(0.02, 0.2)
-        s = gen.uniform(0.05, 0.9)
-        eps = gen.uniform(0.1, 0.9)
+    economies = [(gen.uniform(0.02, 0.2), gen.uniform(0.05, 0.9), gen.uniform(0.1, 0.9))
+                 for _ in range(20)]
+    # fixed points near both ends of the ratio range
+    economies += [(1e130, 0.2, 0.5), (1e-28, 0.2, 0.9)]
+    for nu, s, eps in economies:
         params = EconomyParams(s=s, nu=nu, a=1.0, delta=1.0)
         pf = CobbDouglas(eps)
         p_bar = stationary_mean_wealth(params, pf)
@@ -171,7 +173,9 @@ def _checked_root(f, lo, hi):
         # the sign flips on one side: the root's neighbour towards it
         sides = [f(math.nextafter(root, -math.inf)), f(math.nextafter(root, math.inf))]
         assert any((s > 0.0) != (fr > 0.0) or s == 0.0 for s in sides)
-    ref = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    # brentq falls back to halving in value, which needs ~1100 steps on
+    # the ratio range
+    ref = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=2000)
     # a function that is exactly 0 on a stretch of floats has many roots
     assert abs(root - ref) <= 4.0 * math.ulp(ref) or fr == f(ref) == 0.0
     return root
@@ -191,7 +195,7 @@ def test_brentq_matches_scipy_on_shipped_equations(name):
     if sa * pf.derivative_limit() < params.nu:
         # the drift equation, whose root is p_bar*
         drift = lambda p: market._aggregate_drift(params, pf, p)
-        hi = market._expand_upper(params, pf)
+        hi = market.RATIO_RANGE[1]
         _checked_root(drift, 1e-6, hi)
         _checked_root(drift, hi, 1e-6)
         _checked_root(lambda p: sa * pf.derivative(p) - params.nu, 1e-12, 1e12)
@@ -242,3 +246,32 @@ def test_brentq_raises_typed_errors():
     step = lambda x: 1.0 if x > 0.0 else -1.0
     assert market._bisect(step, -1.0, 2.0) == 0.0
     assert market._bisect(step, 2.0, -1.0) == 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [(5e-324, sys.float_info.max), (-1e300, 1e300)])
+def test_bisection_in_float_rank_takes_at_most_66_evaluations(lo, hi):
+    # two ends plus at most 64 halvings of the 2**64 float ranks
+    calls = []
+    f = lambda x: calls.append(x) or x - 1.0 - 1e-9
+    assert market._bisect(f, lo, hi) == pytest.approx(1.0 + 1e-9, rel=1e-15)
+    assert len(calls) <= 66
+
+
+@pytest.mark.parametrize("name", ["complete_markets", "labor_only", "incomplete_markets",
+                                  "staggered_wages"])
+def test_shipped_roots_take_at_most_66_evaluations_each(name, monkeypatch):
+    cfg = load_config(CONFIG_DIR / f"{name}.ini")
+    params, pf = cfg.economy, cfg.production
+    counts = []
+    real = market._bisect
+
+    def counting(f, lo, hi):
+        calls = []
+        root = real(lambda x: calls.append(x) or f(x), lo, hi)
+        counts.append(len(calls))
+        return root
+
+    monkeypatch.setattr(market, "_bisect", counting)
+    stationary_roots(params, pf)
+    # the slope peak, then the drift from the peak to the top of the range
+    assert len(counts) == 2 and max(counts) <= 66

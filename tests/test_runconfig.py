@@ -347,6 +347,12 @@ def test_build_network_from_spec(tmp_path):
     net = cfg.build_network()
     assert (net.n_households, net.n_firms) == (40, 10)
     assert cfg.theta_bar() == 0.5
+    # theta_bar is the measured invest overlap, to the last bit
+    for name in ("complete_markets", "labor_only"):
+        shipped = load_config(CONFIG_DIR / f"{name}.ini")
+        measured = shipped.build_network().overlap_means()
+        assert shipped.overlap_means() == measured
+        assert shipped.theta_bar() == measured[0]
     bare = _load(tmp_path, MINIMAL)
     with pytest.raises(ConfigError):
         bare.build_network()
