@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_value(cfg: RunConfig, parameter: str, value: float):
-    """Regime report at one grid point, or an error string."""
+    """The scenario economy's regime report at one grid point, or an error."""
     params, theta = cfg.economy, cfg.theta_bar()
     if parameter == "theta_bar":
         # sum_j w_ij**2 of a row-stochastic row lies in [1/F, 1]
@@ -150,7 +150,7 @@ def _sweep_value(cfg: RunConfig, parameter: str, value: float):
         except DomainError as exc:
             return str(exc)
     try:
-        return market.classify_regime(params, cfg.production, invest_overlap_mean=theta)
+        return scenario_economy(cfg, params, theta)[1]
     except KnifeEdgeError:
         return "knife_edge"
     except WealthsimError as exc:

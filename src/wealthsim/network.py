@@ -2,9 +2,11 @@
 
 Each household splits its wealth over a set of firms and its unit of
 labor over a (possibly different) set of firms.  Both allocations are
-row-stochastic N x F matrices.  Portfolio overlaps between households
-decide how correlated their incomes are and therefore how much risk
-survives aggregation.
+row-stochastic N x F matrices, and a network is these two alone: its
+sizes and its full sides are read off them, so a saved network loads
+back as the network that was built.  Portfolio overlaps between
+households decide how correlated their incomes are and therefore how
+much risk survives aggregation.
 """
 
 from __future__ import annotations
@@ -64,28 +66,38 @@ class OverlapStats:
 class AllocationNetwork:
     """Immutable pair of row-stochastic allocation matrices.
 
-    invest          (N, F) CSR matrix of wealth fractions
-    labor           (N, F) CSR matrix of labor fractions
-    invest_spread   number of firms per row when regular, else None
-    labor_spread    number of firms per row when regular, else None
+    invest   (N, F) CSR matrix of wealth fractions
+    labor    (N, F) CSR matrix of labor fractions
+
+    The counts N and F and the full sides are read off the two matrices.
     """
 
-    n_households: int
-    n_firms: int
     invest: sp.csr_matrix
     labor: sp.csr_matrix
-    invest_spread: int | None = None
-    labor_spread: int | None = None
 
     def __post_init__(self):
-        n, f = self.n_households, self.n_firms
-        if n <= 0 or f <= 0:
-            raise DomainError("network needs positive household and firm counts")
+        if self.labor.shape != self.invest.shape:
+            raise DomainError(f"labor matrix has shape {self.labor.shape},"
+                              f" invest matrix {self.invest.shape}")
         for name in ("invest", "labor"):
-            mat = getattr(self, name)
-            if mat.shape != (n, f):
-                raise DomainError(f"{name} matrix has shape {mat.shape}, expected {(n, f)}")
-            _check_row_stochastic(mat, name)
+            _check_row_stochastic(getattr(self, name), name)
+
+    n_households = property(lambda self: self.invest.shape[0])
+    n_firms = property(lambda self: self.invest.shape[1])
+
+    @cached_property
+    def full_sides(self) -> frozenset[str]:
+        """The sides ("invest", "labor") on which every household holds every
+        firm at weight 1/F to 1e-12, measured on first use.  A side with
+        fewer than N*F stored entries is not full; its weights are not read.
+        """
+        n, f = self.invest.shape
+
+        def full(mat):
+            return (mat.nnz == n * f and mat.has_canonical_format
+                    and float(np.max(np.abs(mat.data - 1.0 / f))) <= 1e-12)
+
+        return frozenset(side for side in ("invest", "labor") if full(getattr(self, side)))
 
     def firm_labor(self) -> np.ndarray:
         """Units of labor supplied to each firm."""
@@ -103,8 +115,8 @@ class AllocationNetwork:
         """Invest rows over labor rows as one (2N, F) CSR, built on first use.
 
         One product with a firm shock gives both channels' firm flows.
-        The stepping kernel uses it only when neither channel is spread
-        over every firm, so such a channel never enters a product.
+        The stepping kernel uses it only when neither side is in
+        ``full_sides``, so a full side never enters a product.
         """
         return sp.vstack([self.invest, self.labor], format="csr")
 
@@ -214,14 +226,8 @@ def build_regular(n_households, n_firms, invest_spread, labor_spread, seed=0):
     rng = np.random.default_rng(seed)
     inv_rows = _balanced_rows(n_households, n_firms, invest_spread, rng)
     lab_rows = _balanced_rows(n_households, n_firms, labor_spread, rng)
-    return AllocationNetwork(
-        n_households=n_households,
-        n_firms=n_firms,
-        invest=_rows_to_csr(inv_rows, n_firms, 1.0 / invest_spread),
-        labor=_rows_to_csr(lab_rows, n_firms, 1.0 / labor_spread),
-        invest_spread=invest_spread,
-        labor_spread=labor_spread,
-    )
+    return AllocationNetwork(_rows_to_csr(inv_rows, n_firms, 1.0 / invest_spread),
+                             _rows_to_csr(lab_rows, n_firms, 1.0 / labor_spread))
 
 
 def build_heterogeneous(n_households, n_firms, invest_spreads, labor_spreads, seed=0):
@@ -251,12 +257,7 @@ def build_heterogeneous(n_households, n_firms, invest_spreads, labor_spreads, se
             (np.concatenate(data), np.concatenate(cols), np.array(indptr)),
             shape=(n_households, n_firms))
 
-    return AllocationNetwork(
-        n_households=n_households,
-        n_firms=n_firms,
-        invest=draw(inv),
-        labor=draw(lab),
-    )
+    return AllocationNetwork(draw(inv), draw(lab))
 
 
 def save_network(net: AllocationNetwork, path):
@@ -314,6 +315,6 @@ def load_network(path) -> AllocationNetwork:
     invest = to_csr(triplets[:nnz_inv], "invest")
     labor = to_csr(triplets[nnz_inv:], "labor")
     try:
-        return AllocationNetwork(n_households=n, n_firms=f, invest=invest, labor=labor)
+        return AllocationNetwork(invest, labor)
     except DomainError as exc:
         raise NetworkBuildError(f"network file {path} fails validation: {exc}") from None

@@ -52,9 +52,9 @@ Notes on individual keys:
 Scenario names: CompleteMarkets, LaborOnlyRisk, IncompleteMarkets,
 StaggeredWages, EndogenousGrowthRelative.  The first two pin the
 corresponding allocation spread to the firm count (full
-diversification); a network file must hold every firm at weight 1/F on
-the pinned sides.  StaggeredWages is the scenario with deterministic
-labor income; no key selects that on its own.
+diversification); a network file must hold every firm at weight 1/F to
+1e-12 on the pinned sides.  StaggeredWages is the scenario with
+deterministic labor income; no key selects that on its own.
 """
 
 from __future__ import annotations
@@ -162,9 +162,7 @@ class RunConfig:
         net = load_network(spec["file"])
         f = net.n_firms
         for side in _PINNED.get(self.scenario, ()):
-            mat = getattr(net, side)
-            # min() counts the zeros of a row that misses a firm
-            if max(abs(mat.min() - 1.0 / f), abs(mat.max() - 1.0 / f)) > 1e-12:
+            if side not in net.full_sides:
                 raise NetworkBuildError(
                     f"{self.scenario} requires every household to hold all {f} firms"
                     f" at weight 1/{f} on the {side} side; network file"

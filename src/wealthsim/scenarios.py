@@ -79,19 +79,19 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
-def scenario_economy(cfg: RunConfig):
+def scenario_economy(cfg: RunConfig, params=None, theta_bar=None):
     """The economy a config's scenario runs on and its regime at theta_bar.
 
-    Returns ``(params, report)``: the configured economy, less the firm
-    noise CompleteMarkets pools away.
+    Returns ``(params, report)``: ``params`` (the configured economy, or a
+    sweep point's) less the firm noise CompleteMarkets pools away.
     """
-    params = cfg.economy
+    params = cfg.economy if params is None else params
     if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
         # every household holds every firm, so idiosyncratic risk pools away;
         # finite-firm residual noise is not part of this scenario
         params = dataclasses.replace(params, delta=0.0)
-    return params, market.classify_regime(params, cfg.production,
-                                          invest_overlap_mean=cfg.theta_bar())
+    return params, market.classify_regime(
+        params, cfg.production, cfg.theta_bar() if theta_bar is None else theta_bar)
 
 
 def _closed_form(cfg: RunConfig, relative: bool | None = None):
@@ -287,9 +287,11 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
     checks.append(_check("network_invariants", network_check))
 
     def covariance_check():
-        spec = cfg.network_spec or {}
-        net = build_regular(40, 20, min(spec.get("invest_spread", 4), 20),
-                            min(spec.get("labor_spread", 10), 20), seed=3)
+        spreads = (4, 10)  # else each side's widest configured row, at most 20
+        if cfg.network_spec is not None:
+            net = cfg.build_network()
+            spreads = [min(int(np.diff(m.indptr).max()), 20) for m in (net.invest, net.labor)]
+        net = build_regular(40, 20, *spreads, seed=3)
         gen = _stream(1, 0)
         wealth = 1.0 + 0.2 * gen.uniform(-1.0, 1.0, 40)
         # always the full-noise variant: the deterministic-labor covariance is

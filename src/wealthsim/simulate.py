@@ -182,22 +182,21 @@ def _firm_flows(net, shocks, labor):
     """``invest @ shock`` and, with ``labor``, ``labor @ shock`` per household
     (else None), for a draw ``(F,)`` or a block ``(K, F)``.
 
-    Rows spread evenly over every firm all see the firm mean, which
-    costs O(F) instead of O(N*F).  When both channels need a sparse
-    product they share one over the stacked rows ``net.flow_rows``.
+    On a side in the measured ``net.full_sides`` every row sees the firm
+    mean, which costs O(F) instead of O(N*F).  When both channels need a
+    sparse product they share one over the stacked rows ``net.flow_rows``.
     """
-    n, f = net.n_households, net.n_firms
-    if net.invest_spread != f and labor and net.labor_spread != f:
+    n, full = net.n_households, net.full_sides
+    if labor and not full:
         both = (net.flow_rows @ shocks.T).T
         return both[..., :n], both[..., n:]
 
-    def flow(alloc, spread):
-        if spread == f:
+    def flow(side):
+        if side in full:
             return np.broadcast_to(shocks.mean(axis=-1)[..., None], shocks.shape[:-1] + (n,))
-        return (alloc @ shocks.T).T
+        return (getattr(net, side) @ shocks.T).T
 
-    return flow(net.invest, net.invest_spread), \
-        flow(net.labor, net.labor_spread) if labor else None
+    return flow("invest"), flow("labor") if labor else None
 
 
 def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic):

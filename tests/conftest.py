@@ -1,8 +1,13 @@
 """Shared benchmark economies and their hand-derived equilibria."""
 
+import configparser
+from pathlib import Path
+
 import pytest
 
-from wealthsim import CES, CobbDouglas, EconomyParams
+from wealthsim import CES, CobbDouglas, EconomyParams, load_config, save_network
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Cobb-Douglas benchmark, stationary regime.  The aggregate balance
 # s*a*p**0.3 = nu*p gives p_bar_star = (s*a/nu)**(1/0.7) = 4**(1/0.7),
@@ -38,3 +43,26 @@ def cd_benchmark():
 def ces_growth():
     params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=300.0)
     return params, CES(0.2, 0.7)
+
+
+@pytest.fixture(scope="session")
+def saved_network_config(tmp_path_factory):
+    """``name -> path`` of a copy of ``configs/<name>.ini`` whose ``[network]``
+    is ``file =`` a saved copy of the network that config builds."""
+    root = tmp_path_factory.mktemp("saved_networks")
+    paths = {}
+
+    def make(name):
+        if name not in paths:
+            source = CONFIG_DIR / f"{name}.ini"
+            net = root / f"{name}.net"
+            save_network(load_config(source).build_network(), net)
+            ini = configparser.ConfigParser()
+            ini.read(source)
+            ini["network"] = {"file": str(net)}
+            paths[name] = root / f"{name}.ini"
+            with open(paths[name], "w") as fh:
+                ini.write(fh)
+        return paths[name]
+
+    return make

@@ -183,12 +183,36 @@ def test_sweep_stdout_matches_file(tmp_path, capsys):
     assert alphas == sorted(alphas)
 
 
+@pytest.mark.parametrize("parameter", ["nu", "delta"])
+def test_sweep_evaluates_the_scenario_economy(tmp_path, parameter, capsys):
+    # CompleteMarkets pools the firm noise away after the grid value is set,
+    # so a sweep at the configured nu or delta reports no alpha, as regime does
+    value = {"nu": "0.05", "delta": "1.0"}[parameter]
+    text = (CONFIG_DIR / "complete_markets.ini").read_text()
+    cfg = _write(tmp_path, text + f"\n[sweep]\nparameter = {parameter}\nvalues = {value}\n")
+    assert main(["regime", "--config", cfg]) == 0
+    assert "alpha" not in capsys.readouterr().out
+    assert main(["sweep", "--config", cfg]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2:] == ["stationary", "", "7.2457893141112528", ""]
+
+
 def test_validate_passes(capsys):
     rc = main(["validate", "--config", str(CONFIG_DIR / "incomplete_markets.ini")])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert len(report["checks"]) == 6
+
+
+@pytest.mark.parametrize("name", ["complete_markets", "labor_only"])
+def test_validate_checks_a_saved_network_like_the_built_one(saved_network_config, name,
+                                                            capsys):
+    # the covariance probe takes its spreads from the network, not the INI keys
+    assert main(["validate", "--config", str(CONFIG_DIR / f"{name}.ini")]) == 0
+    built = capsys.readouterr().out
+    assert main(["validate", "--config", str(saved_network_config(name))]) == 0
+    assert capsys.readouterr().out == built
 
 
 def test_validate_failure_exits_1(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from wealthsim.network import AllocationNetwork
 def test_regular_network_is_balanced():
     net = build_regular(12, 6, 2, 3, seed=0)
     assert net.n_households == 12 and net.n_firms == 6
-    assert net.invest_spread == 2 and net.labor_spread == 3
+    assert net.full_sides == frozenset()
 
     inv = net.invest.toarray()
     lab = net.labor.toarray()
@@ -73,7 +73,7 @@ def test_heterogeneous_spreads():
     inv = net.invest.toarray()
     assert list((inv > 0).sum(axis=1)) == spreads
     np.testing.assert_allclose(inv.sum(axis=1), 1.0, atol=1e-12)
-    assert net.invest_spread is None
+    assert net.full_sides == frozenset()
     with pytest.raises(NetworkBuildError):
         build_heterogeneous(5, 8, [1, 2, 3], [2] * 5, seed=1)
     with pytest.raises(NetworkBuildError):
@@ -171,11 +171,24 @@ def test_network_validation():
 
     ok = sp.csr_matrix(np.full((2, 2), 0.5))
     with pytest.raises(DomainError):
-        AllocationNetwork(n_households=2, n_firms=2, invest=ok,
-                          labor=sp.csr_matrix(np.array([[0.7, 0.2], [0.5, 0.5]])))
+        AllocationNetwork(ok, sp.csr_matrix(np.array([[0.7, 0.2], [0.5, 0.5]])))
     with pytest.raises(DomainError):
-        AllocationNetwork(n_households=2, n_firms=3, invest=ok, labor=ok)
+        AllocationNetwork(ok, sp.csr_matrix(np.full((2, 3), 1.0 / 3.0)))
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
-            AllocationNetwork(n_households=2, n_firms=2, invest=ok,
-                              labor=sp.csr_matrix(np.array([[bad, 0.5], [0.5, 0.5]])))
+            AllocationNetwork(ok, sp.csr_matrix(np.array([[bad, 0.5], [0.5, 0.5]])))
+    # the counts are read off the matrices and cannot be declared beside them
+    with pytest.raises(TypeError):
+        AllocationNetwork(ok, ok, n_households=2)
+
+
+def test_full_sides_are_measured_on_the_matrices():
+    # a side is full when every row holds every firm at weight 1/F
+    assert build_regular(12, 6, 2, 3, seed=0).full_sides == frozenset()
+    assert build_regular(12, 6, 5, 3, seed=0).full_sides == frozenset()
+    assert build_regular(12, 6, 6, 3, seed=0).full_sides == {"invest"}
+    assert build_regular(12, 6, 2, 6, seed=0).full_sides == {"labor"}
+    assert build_regular(12, 6, 6, 6, seed=0).full_sides == {"invest", "labor"}
+    het = build_heterogeneous(5, 8, [1, 2, 8, 4, 5], [8] * 5, seed=1)
+    assert het.full_sides == {"labor"}
+

@@ -14,6 +14,7 @@ from wealthsim import (
     build_regular,
     config_from_dict,
     load_config,
+    load_network,
     save_network,
 )
 from wealthsim import runconfig
@@ -231,6 +232,25 @@ def test_scenario_pins_hold_for_a_network_file(tmp_path):
                         "0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n")
     with pytest.raises(NetworkBuildError, match="invest side"):
         _load(tmp_path, text.format("LaborOnlyRisk")).build_network()
+
+
+@pytest.mark.parametrize("offset, full", [(0.0, True), (1e-13, True), (1e-11, False)])
+def test_a_file_side_is_full_to_1e_12(tmp_path, offset, full):
+    # two households over four firms: invest weights off 1/4 by +-offset,
+    # labor rows over two firms each
+    w = [0.25 + offset, 0.25 - offset, 0.25 + offset, 0.25 - offset]
+    lines = ["2 4 8 4", "0 0 0.5", "0 1 0.5", "1 2 0.5", "1 3 0.5"]
+    lines[1:1] = [f"{i} {j} {w[j]!r}" for i in range(2) for j in range(4)]
+    net_path = tmp_path / "net.txt"
+    net_path.write_text("\n".join(lines) + "\n")
+    assert load_network(net_path).full_sides == ({"invest"} if full else frozenset())
+    cfg = _load(tmp_path, MINIMAL + f"\n[network]\nfile = {net_path}\n\n"
+                "[scenario]\nname = LaborOnlyRisk\n")
+    if full:
+        assert cfg.build_network().full_sides == {"invest"}
+    else:
+        with pytest.raises(NetworkBuildError, match="invest side"):
+            cfg.build_network()
 
 
 def test_staggered_wages_forces_deterministic_labor(tmp_path):

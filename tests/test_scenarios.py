@@ -179,6 +179,19 @@ def test_relative_run_takes_its_size_from_the_network_file(tmp_path):
     assert summary["moments"]["n"] == 60 * summary["snapshot_count"]
 
 
+@pytest.mark.parametrize("name", ["complete_markets", "labor_only"])
+def test_a_saved_network_steps_like_the_built_one(tmp_path, saved_network_config, name):
+    # the full sides are measured on the loaded matrices, so the loaded run
+    # takes the firm-mean shortcut that the built run takes
+    for label, path in (("built", CONFIG_DIR / f"{name}.ini"),
+                        ("saved", saved_network_config(name))):
+        cfg = load_config(path).with_raw("simulation", **SHORT_RUNS[name])
+        assert ("file" in cfg.network_spec) == (label == "saved")
+        run_scenario(cfg, out_dir=tmp_path / label)
+    saved, built = ((tmp_path / label / "panel.csv").read_bytes() for label in ("saved", "built"))
+    assert saved == built
+
+
 @pytest.mark.parametrize("make_cfg", [_incomplete_cfg, _growth_relative_cfg])
 def test_missing_target_fails_before_the_run(monkeypatch, make_cfg):
     from wealthsim import scenarios

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import P_BAR_STAR, RHO_INF
 from wealthsim import (
-    AllocationNetwork,
     EconomyParams,
     CES,
     CobbDouglas,
@@ -33,6 +32,7 @@ from wealthsim.errors import (
 )
 from wealthsim.simulate import (
     WealthPanel,
+    _firm_flows,
     _firm_shock_increment,
     _stream,
     analytic_noise_covariance,
@@ -179,26 +179,30 @@ def test_step_rejects_bad_state():
 
 
 def test_increment_shortcuts_match_general_path():
-    # rows over every firm take the firm-mean shortcut; the same matrices
-    # without a declared spread go through the sparse products instead
+    # a full side takes the firm-mean shortcut; it must give the sparse
+    # products of the general path, formed here
     params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.01, nu=0.05,
                            a=1.0, delta=1.0)
     pf = CobbDouglas(0.3)
     n, f, k, dt = 12, 6, 5, 0.1
     uniform = build_regular(n, f, f, f, seed=0)
-    general = AllocationNetwork(n_households=n, n_firms=f, invest=uniform.invest,
-                                labor=uniform.labor, invest_spread=None, labor_spread=None)
     mixed = build_regular(n, f, f, 2, seed=1)
+    general = build_regular(n, f, 3, 2, seed=2)
+    assert uniform.full_sides == {"invest", "labor"} and mixed.full_sides == {"invest"}
+    assert general.full_sides == frozenset()
     gen = _stream(13, 0)
     wealth = P_BAR_STAR * (1.0 + 0.3 * gen.uniform(-1.0, 1.0, n))
     block = sample_firm_shocks((k, f), params, dt, gen)
     state = clear(params, pf, wealth.mean())
-    for labor_deterministic in (False, True):
-        for shocks in (block[0], None):
-            a = step_absolute(wealth, params, uniform, pf, shocks, dt, labor_deterministic)
-            b = step_absolute(wealth, params, general, pf, shocks, dt, labor_deterministic)
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        for net in (uniform, general, mixed):
+    for net in (uniform, mixed, general):
+        for shocks in (block[0], block, np.full(f, params.a * dt)):
+            cap, lab = _firm_flows(net, shocks, True)
+            np.testing.assert_allclose(cap, (net.invest @ shocks.T).T, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(lab, (net.labor @ shocks.T).T, rtol=1e-12, atol=0.0)
+            cap_only, none = _firm_flows(net, shocks, False)
+            np.testing.assert_allclose(cap_only, cap, rtol=1e-12, atol=0.0)
+            assert none is None
+        for labor_deterministic in (False, True):
             batched = _firm_shock_increment(wealth, params, net, state,
                                             block, dt, labor_deterministic)
             single = [_firm_shock_increment(wealth, params, net, state,
