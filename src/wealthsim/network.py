@@ -31,6 +31,7 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-9
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+_SAVE_BLOCK = 4096  # triplets formatted per write
 
 
 def _check_row_stochastic(mat, name):
@@ -268,9 +269,15 @@ def save_network(net: AllocationNetwork, path):
     lab = net.labor.tocoo()
     with open(path, "w") as fh:
         fh.write(f"{net.n_households} {net.n_firms} {inv.nnz} {lab.nnz}\n")
+        # one % formats a bounded block of triplets, so the text stays small
         for mat in (inv, lab):
-            for i, j, w in zip(mat.row, mat.col, mat.data):
-                fh.write(f"{int(i)} {int(j)} {float(w)!r}\n")
+            for lo in range(0, mat.nnz, _SAVE_BLOCK):
+                hi = min(lo + _SAVE_BLOCK, mat.nnz)
+                fields = [None] * (3 * (hi - lo))
+                fields[::3] = mat.row[lo:hi].tolist()
+                fields[1::3] = mat.col[lo:hi].tolist()
+                fields[2::3] = mat.data[lo:hi].tolist()
+                fh.write("%d %d %r\n" * (hi - lo) % tuple(fields))
 
 
 def load_network(path) -> AllocationNetwork:
@@ -310,7 +317,12 @@ def load_network(path) -> AllocationNetwork:
         if bad.size:
             raise NetworkBuildError(
                 f"{label} index out of range in triplet {chunk[bad[0]].tolist()}")
-        return sp.csr_matrix((chunk["w"], (i, j)), shape=(n, f))
+        mat = sp.csr_matrix((chunk["w"], (i, j)), shape=(n, f))
+        if mat.nnz != chunk.size:
+            # the conversion sums repeated (row, col) pairs into one entry
+            raise NetworkBuildError(f"{label} side lists {chunk.size - mat.nnz}"
+                                    " repeated (row, col) pair(s)")
+        return mat
 
     invest = to_csr(triplets[:nnz_inv], "invest")
     labor = to_csr(triplets[nnz_inv:], "labor")

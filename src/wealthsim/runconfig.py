@@ -32,9 +32,10 @@ A run is described by a flat INI file, for example::
 Notes on individual keys:
 
 * ``[economy] delta_theta_product`` is an alternative to ``delta`` for
-  sweep configs quoted as a noise-times-overlap product: the value is
-  stored as ``delta`` and the overlap defaults to 1 unless a network
-  section supplies one.  Giving both keys is an error.
+  configs quoted as a noise-times-overlap product: the value is stored
+  as ``delta`` at overlap 1.  Giving both keys is an error, and so is
+  giving it beside a ``[network]``, whose measured overlap would scale
+  the product again.
 * ``[network] file`` loads a saved network instead of building one and
   takes none of the build keys.  Either way the network's mean
   self-overlaps are measured once per config (``overlap_means``).
@@ -49,12 +50,11 @@ Notes on individual keys:
 * A numeric key must hold a finite number: ``nan`` and ``inf`` are
   config errors.
 
-Scenario names: CompleteMarkets, LaborOnlyRisk, IncompleteMarkets,
-StaggeredWages, EndogenousGrowthRelative.  The first two pin the
-corresponding allocation spread to the firm count (full
+``[scenario] name`` picks one row of ``SCENARIOS`` (matched ignoring
+case and underscores), and a run reads that row's three facts, never its
+name.  A pinned side needs its spread equal to the firm count (full
 diversification); a network file must hold every firm at weight 1/F to
-1e-12 on the pinned sides.  StaggeredWages is the scenario with
-deterministic labor income; no key selects that on its own.
+1e-12 on it.  Deterministic labor income has no key of its own.
 """
 
 from __future__ import annotations
@@ -72,22 +72,37 @@ from .network import AllocationNetwork, build_regular, load_network
 from .params import CES, CobbDouglas, EconomyParams, ProductionFunction, validate_params
 from .simulate import SimulationConfig
 
-__all__ = ["RunConfig", "load_config", "config_from_dict", "SCENARIOS", "SWEEPABLE"]
+__all__ = ["RunConfig", "Scenario", "load_config", "config_from_dict", "SCENARIOS", "SWEEPABLE"]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What a named scenario fixes about a run, and nothing else.
+
+    ``pinned``: the allocation sides spread over every firm;
+    ``fixed_wages``: labor income is deterministic;
+    ``relative``: wealth is followed over its growing mean.
+    The record without a name fixes nothing: a config with no ``[scenario]``.
+    """
+
+    name: str | None = None
+    pinned: tuple[str, ...] = ()
+    fixed_wages: bool = False
+    relative: bool = False
+
 
 SCENARIOS = (
-    "CompleteMarkets",
-    "LaborOnlyRisk",
-    "IncompleteMarkets",
-    "StaggeredWages",
-    "EndogenousGrowthRelative",
+    Scenario("CompleteMarkets", pinned=("invest", "labor")),
+    Scenario("LaborOnlyRisk", pinned=("invest",)),
+    Scenario("IncompleteMarkets"),
+    Scenario("StaggeredWages", fixed_wages=True),
+    Scenario("EndogenousGrowthRelative", relative=True),
 )
 SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 
 _ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
 _BUILD_KEYS = ("n_households", "n_firms", "invest_spread", "labor_spread", "seed")
 _GRID_KEYS = ("start", "stop", "count")
-# allocation sides a scenario spreads over every firm
-_PINNED = {"CompleteMarkets": ("invest", "labor"), "LaborOnlyRisk": ("invest",)}
 _SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed",
                     "initial", "initial_spread"}
 
@@ -136,7 +151,7 @@ class RunConfig:
     economy: EconomyParams
     production: ProductionFunction
     simulation: SimulationConfig
-    scenario: str | None
+    scenario: Scenario
     network_spec: dict | None
     sweep: tuple[str, np.ndarray] | None
     outputs: dict
@@ -161,10 +176,10 @@ class RunConfig:
             return build_regular(**spec)
         net = load_network(spec["file"])
         f = net.n_firms
-        for side in _PINNED.get(self.scenario, ()):
+        for side in self.scenario.pinned:
             if side not in net.full_sides:
                 raise NetworkBuildError(
-                    f"{self.scenario} requires every household to hold all {f} firms"
+                    f"{self.scenario.name} requires every household to hold all {f} firms"
                     f" at weight 1/{f} on the {side} side; network file"
                     f" {spec['file']} does not")
         return net
@@ -323,22 +338,6 @@ def _parse_sweep(raw) -> tuple[str, np.ndarray] | None:
     return parameter, grid
 
 
-def _apply_scenario_constraints(scenario, network_spec,
-                                sim: SimulationConfig) -> SimulationConfig:
-    """Check the network and pin the stepping choices a scenario presupposes."""
-    if network_spec is not None and "file" not in network_spec:
-        # a network file is checked where it is loaded
-        f = network_spec["n_firms"]
-        for side in _PINNED.get(scenario, ()):
-            key = f"{side}_spread"
-            if network_spec[key] != f:
-                raise ConfigError(
-                    f"{scenario} requires {key} = n_firms ({f}), got {network_spec[key]}")
-    if scenario == "StaggeredWages":
-        sim = replace(sim, labor_deterministic=True)
-    return sim
-
-
 def _build(raw_sections: dict) -> RunConfig:
     known = {"economy", "production", "network", "simulation",
              "scenario", "outputs", "sweep"}
@@ -353,25 +352,35 @@ def _build(raw_sections: dict) -> RunConfig:
     economy = _parse_economy(raw_sections["economy"])
     production = _parse_production(raw_sections["production"])
     network_spec = _parse_network(raw_sections.get("network"))
+    if network_spec is not None and "delta_theta_product" in raw_sections["economy"]:
+        raise ConfigError("[economy] delta_theta_product already holds the overlap;"
+                          " beside a [network] give delta instead")
     simulation, initial, spread = _parse_simulation(raw_sections.get("simulation"))
     sweep = _parse_sweep(raw_sections.get("sweep"))
 
-    scenario = None
+    scenario = Scenario()
     if "scenario" in raw_sections:
         _reject_unknown("scenario", raw_sections["scenario"], {"name"})
         name = raw_sections["scenario"].get("name", "").strip()
-        canon = {s.lower(): s for s in SCENARIOS}
-        scenario = canon.get(name.replace("_", "").lower())
+        scenario = next((s for s in SCENARIOS
+                         if s.name.lower() == name.replace("_", "").lower()), None)
         if scenario is None:
-            raise ConfigError(
-                f"[scenario] name must be one of {', '.join(SCENARIOS)}, got {name!r}")
-        simulation = _apply_scenario_constraints(scenario, network_spec, simulation)
-        if scenario != "EndogenousGrowthRelative" and network_spec is None:
-            raise ConfigError(f"scenario {scenario} needs a [network] section")
-        if scenario == "EndogenousGrowthRelative" and "initial" in raw_sections.get(
-                "simulation", {}):
-            raise ConfigError("EndogenousGrowthRelative starts every household at relative"
+            raise ConfigError(f"[scenario] name must be one of"
+                              f" {', '.join(s.name for s in SCENARIOS)}, got {name!r}")
+        if not scenario.relative and network_spec is None:
+            raise ConfigError(f"scenario {scenario.name} needs a [network] section")
+        if scenario.relative and "initial" in raw_sections.get("simulation", {}):
+            raise ConfigError(f"{scenario.name} starts every household at relative"
                               " wealth 1; [simulation] initial does not apply")
+    if network_spec is not None and "file" not in network_spec:
+        # a network file is checked where it is loaded
+        f = network_spec["n_firms"]
+        for side in scenario.pinned:
+            key = f"{side}_spread"
+            if network_spec[key] != f:
+                raise ConfigError(f"{scenario.name} requires {key} = n_firms ({f}),"
+                                  f" got {network_spec[key]}")
+    simulation = replace(simulation, labor_deterministic=scenario.fixed_wages)
 
     outputs = dict(raw_sections.get("outputs") or {})
     _reject_unknown("outputs", outputs, {"directory", "format"})

@@ -1,10 +1,11 @@
 """Named simulation scenarios and the validation check suite.
 
-Each scenario fixes a market structure, runs the matching simulator,
-compares the outcome with its closed-form prediction, and returns a
-JSON-ready summary.  The four absolute-wealth scenarios differ only in
-how much risk households can diversify away; the relative-wealth
-scenario follows the sustained-growth regime.
+Each scenario (a row of ``runconfig.SCENARIOS``) fixes a market structure,
+runs the matching simulator, compares the outcome with its closed-form
+prediction, and returns a JSON-ready summary whose contents follow from
+the scenario's fields and its target's family.  The absolute-wealth
+scenarios differ only in how much risk households can diversify away;
+the relative-wealth scenario follows the sustained-growth regime.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import market
 from .analytics import (
+    GaussianDensity,
     PointMassDensity,
     mean_field_coeffs,
     relative_wealth_density,
@@ -79,14 +81,19 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
+def _pools_risk(cfg: RunConfig) -> bool:
+    """Both sides are pinned, so every household holds every firm."""
+    return set(cfg.scenario.pinned) == {"invest", "labor"}
+
+
 def scenario_economy(cfg: RunConfig, params=None, theta_bar=None):
     """The economy a config's scenario runs on and its regime at theta_bar.
 
     Returns ``(params, report)``: ``params`` (the configured economy, or a
-    sweep point's) less the firm noise CompleteMarkets pools away.
+    sweep point's) less the firm noise that pinning both sides pools away.
     """
     params = cfg.economy if params is None else params
-    if cfg.scenario == "CompleteMarkets" and params.delta > 0.0:
+    if _pools_risk(cfg) and params.delta > 0.0:
         # every household holds every firm, so idiosyncratic risk pools away;
         # finite-firm residual noise is not part of this scenario
         params = dataclasses.replace(params, delta=0.0)
@@ -100,10 +107,10 @@ def _closed_form(cfg: RunConfig, relative: bool | None = None):
     Returns ``(params, report, target)``: ``scenario_economy`` plus the
     target.  A growth regime's target is the density of relative wealth
     (None without a tail exponent), a stationary one's the mean-field
-    density at the config's overlap means, less the channels the
-    scenario shuts.  A run passes its kind as ``relative`` and gets a
-    target only in the regime that kind measures; with None it is always
-    built.
+    density at the config's overlap means, less the channels that
+    deterministic wages or a pinned invest side shut.  A run passes its
+    kind as ``relative`` and gets a target only in the regime that kind
+    measures; with None it is always built.
     """
     params, report = scenario_economy(cfg)
     stationary = report.regime == market.STATIONARY
@@ -113,9 +120,9 @@ def _closed_form(cfg: RunConfig, relative: bool | None = None):
         alpha = report.tail_exponent
         return params, report, relative_wealth_density(alpha) if alpha is not None else None
     invest, cross, labor = cfg.overlap_means()
-    if cfg.simulation.labor_deterministic:
+    if cfg.scenario.fixed_wages:
         cross = labor = 0.0
-    if cfg.scenario == "LaborOnlyRisk":
+    if "invest" in cfg.scenario.pinned:
         invest = cross = 0.0
     state = market.clear(params, cfg.production, report.mean_wealth)
     return params, report, stationary_density(
@@ -130,12 +137,11 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     ``threads`` caps the forked noise workers (None: the default of two);
     the results do not depend on it.
     """
-    if cfg.scenario is None:
+    if cfg.scenario.name is None:
         raise ConfigError("config has no [scenario] section")
     # the target comes first, so a config without a closed form fails before step 1
-    relative = cfg.scenario == "EndogenousGrowthRelative"
-    params, report, target = _closed_form(cfg, relative)
-    if relative:
+    params, report, target = _closed_form(cfg, cfg.scenario.relative)
+    if cfg.scenario.relative:
         panel, metrics = _run_relative(cfg, params, report, threads)
     else:
         panel, metrics = _run_absolute_scenario(cfg, params, report, threads)
@@ -143,7 +149,7 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     measured = target is not None and not isinstance(target, PointMassDensity)
 
     summary = {
-        "scenario": cfg.scenario,
+        "scenario": cfg.scenario.name,
         "seed": cfg.simulation.seed,
         "config": cfg.to_dict(),
         "regime": report.to_dict(),
@@ -157,16 +163,16 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     }
     if panel.counters:
         summary["counters"] = panel.counters
-    if cfg.scenario == "LaborOnlyRisk" and measured:
+    if isinstance(target, GaussianDensity):
         metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
                        sample_skewness=summary["moments"]["skewness"])
-    if cfg.scenario in ("IncompleteMarkets", "StaggeredWages", "EndogenousGrowthRelative"):
+    if target is not None and target.tail_exponent is not None:
         est, note = _try_hill(pooled)
         summary["hill"] = est
         if note:
             metrics["hill_note"] = note
         metrics["alpha_analytic"] = report.tail_exponent
-        if est is not None and cfg.scenario == "IncompleteMarkets":
+        if est is not None:
             metrics["alpha_hat"] = est["alpha"]
 
     if out_dir is not None:
@@ -196,13 +202,13 @@ def _run_absolute_scenario(cfg: RunConfig, params, report, threads):
 
     panel = run_absolute(cfg.simulation, params, net, cfg.production, p0, threads)
     metrics: dict = {}
-    if cfg.scenario == "CompleteMarkets":
+    if _pools_risk(cfg):
         metrics["risk_fully_pooled"] = params.delta != cfg.economy.delta
         if report.regime == market.STATIONARY:
             dev = float(np.max(np.abs(panel.final() - report.mean_wealth)))
             metrics["max_abs_dev_from_stationary_mean"] = dev
             metrics["degenerate"] = dev < 1e-6 * report.mean_wealth
-    elif cfg.scenario == "StaggeredWages":
+    if cfg.scenario.fixed_wages:
         min_wealth = float(panel.pooled().min())
         metrics["min_wealth_after_burn_in"] = min_wealth
         metrics["bounded_away_from_zero"] = min_wealth > 0.0
@@ -211,9 +217,8 @@ def _run_absolute_scenario(cfg: RunConfig, params, report, threads):
 
 def _run_relative(cfg: RunConfig, params, report, threads):
     if report.regime == market.STATIONARY:
-        raise ConfigError(
-            "EndogenousGrowthRelative needs a growing economy;"
-            " this configuration is stationary")
+        raise ConfigError(f"{cfg.scenario.name} needs a growing economy;"
+                          " this configuration is stationary")
     n = cfg.build_network().n_households if cfg.network_spec else 10_000
     u0 = _initial_wealth(cfg, 1.0, n)
     u0 /= u0.mean()

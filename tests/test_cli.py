@@ -255,7 +255,8 @@ def test_corrupt_network_file_exits_1(tmp_path, capsys):
         "    labor_spread = 10\n    seed = 7\n", f"file = {net}\n"))
     for text in ("1 2 1 1\n0 0 nan\n0 1 1.0\n",     # non-finite weight
                  "1 2 1 1\n0 1.0 1.0\n0 1 1.0\n",   # non-integral index
-                 "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n"):
+                 "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n",
+                 "1 2 2 1\n0 0 0.5\n0 0 0.5\n0 1 1.0\n"):  # repeated triplet
         net.write_text(text)
         for command in (["regime"], ["validate"], ["simulate", "--out", str(tmp_path / "o")]):
             assert main([command[0], "--config", cfg] + command[1:]) == 1, (text, command)
@@ -354,7 +355,7 @@ def test_bad_thread_count_fails_before_the_regime(tmp_path, capsys, monkeypatch)
         s = 0.2
         tau_k = 0.2
         nu = 0.02006787642490816
-        delta_theta_product = 300
+        delta = 300
 
         [production]
         kind = ces

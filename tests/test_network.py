@@ -120,6 +120,8 @@ CORRUPT_NETWORK_FILES = {
     "negative index": "1 2 1 1\n-1 0 1.0\n0 1 1.0\n",
     "comment line": "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n",
     "more triplets than header": "1 2 1 1\n0 0 1.0\n0 1 1.0\n0 1 1.0\n",
+    # summed, the repeated pair would be one valid invest entry of weight 1.0
+    "repeated triplet": "1 2 2 1\n0 0 0.5\n0 0 0.5\n0 1 1.0\n",
     "negative count": "1 2 -1 3\n0 0 1.0\n0 1 1.0\n",
     "header only, no triplets declared": "1 2 0 0\n",
     "header only, triplets declared": "1 2 1 1\n",

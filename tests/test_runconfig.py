@@ -45,7 +45,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.economy == EconomyParams(s=0.2)
     assert cfg.production == CobbDouglas(0.3)
     assert cfg.simulation == SimulationConfig(dt=0.01, t_end=100.0)
-    assert cfg.scenario is None
+    assert cfg.scenario.name is None
     assert cfg.network_spec is None
     assert cfg.sweep is None
     assert cfg.initial == "stationary"
@@ -125,6 +125,23 @@ def test_delta_theta_product(tmp_path):
             kind = cobb_douglas
             eps = 0.3
             """)
+    # a network's measured overlap would scale the product a second time
+    with pytest.raises(ConfigError, match="beside a \\[network\\] give delta"):
+        _load(tmp_path, """\
+            [economy]
+            s = 0.2
+            delta_theta_product = 300
+
+            [production]
+            kind = cobb_douglas
+            eps = 0.3
+
+            [network]
+            n_households = 20
+            n_firms = 20
+            invest_spread = 2
+            labor_spread = 2
+            """)
 
 
 def test_invalid_economy_values_are_collected(tmp_path):
@@ -196,18 +213,18 @@ def test_scenario_pins_network_spreads(tmp_path):
         name = {name}
         """
     cfg = _load(tmp_path, base.format(inv=10, lab=10, name="CompleteMarkets"))
-    assert cfg.scenario == "CompleteMarkets"
+    assert cfg.scenario.name == "CompleteMarkets"
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, base.format(inv=2, lab=10, name="CompleteMarkets"))
     assert "invest_spread" in str(err.value)
     # labor-only risk pins investments but leaves labor free
     cfg = _load(tmp_path, base.format(inv=10, lab=2, name="LaborOnlyRisk"))
-    assert cfg.scenario == "LaborOnlyRisk"
+    assert cfg.scenario.name == "LaborOnlyRisk"
     with pytest.raises(ConfigError):
         _load(tmp_path, base.format(inv=5, lab=2, name="LaborOnlyRisk"))
     # names are matched ignoring case and underscores
     cfg = _load(tmp_path, base.format(inv=2, lab=2, name="incomplete_markets"))
-    assert cfg.scenario == "IncompleteMarkets"
+    assert cfg.scenario.name == "IncompleteMarkets"
     with pytest.raises(ConfigError):
         _load(tmp_path, base.format(inv=2, lab=2, name="Autarky"))
 
@@ -309,7 +326,7 @@ def test_relative_growth_rejects_initial(tmp_path):
     # would be silently ignored
     text = MINIMAL + "\n[scenario]\nname = EndogenousGrowthRelative\n[simulation]\n"
     cfg = _load(tmp_path, text + "initial_spread = 0.1\n")
-    assert cfg.scenario == "EndogenousGrowthRelative" and cfg.initial_spread == 0.1
+    assert cfg.scenario.name == "EndogenousGrowthRelative" and cfg.initial_spread == 0.1
     for value in ("5000", "stationary"):
         with pytest.raises(ConfigError, match="initial does not apply"):
             _load(tmp_path, text + f"initial = {value}\n")

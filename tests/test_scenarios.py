@@ -9,6 +9,7 @@ import pytest
 
 from conftest import P_BAR_STAR, SHORT_RUNS
 from wealthsim import (
+    GaussianDensity,
     build_regular,
     config_from_dict,
     load_config,
@@ -100,7 +101,7 @@ def test_incomplete_markets_artifacts(tmp_path):
     assert len(data["mean_path"]) == 5
     echoed = config_from_dict(data["config"])
     assert echoed.economy == _incomplete_cfg().economy
-    assert echoed.scenario == "IncompleteMarkets"
+    assert echoed.scenario.name == "IncompleteMarkets"
 
     panel_lines = (out / "panel.csv").read_text().strip().splitlines()
     assert panel_lines[0] == "t,household_id,wealth"
@@ -174,7 +175,10 @@ def test_endogenous_growth_scenario():
 def test_relative_run_takes_its_size_from_the_network_file(tmp_path):
     path = tmp_path / "net.txt"
     save_network(build_regular(60, 30, 3, 1, seed=0), path)
-    cfg = _growth_relative_cfg().with_raw("network", file=str(path))
+    # delta = 30 at the network's overlap 1/3 is the product 10 of the base config
+    sections = _growth_relative_cfg().to_dict()
+    sections["economy"] = {"s": "0.2", "tau_k": "0.2", "nu": "0.01", "delta": "30"}
+    cfg = config_from_dict({**sections, "network": {"file": str(path)}})
     summary = run_scenario(cfg)
     assert summary["moments"]["n"] == 60 * summary["snapshot_count"]
 
@@ -266,6 +270,26 @@ def test_one_tail_exponent_per_shipped_config(name):
     summary = run_scenario(cfg)
     assert regime.tail_exponent == pytest.approx(alpha, rel=1e-12, abs=0)
     assert summary["metrics"]["alpha_analytic"] == pytest.approx(alpha, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name, economy", [
+    *((name, {}) for name in sorted(SHORT_RUNS)),
+    ("incomplete_markets", {"delta": "0"}),
+], ids=[*sorted(SHORT_RUNS), "incomplete_markets_delta_0"])
+def test_reporting_follows_the_target(name, economy):
+    # a Hill index is reported exactly where the closed form has a power
+    # tail, Gaussian moments exactly where it is Gaussian: with delta = 0
+    # an IncompleteMarkets economy targets a point mass and reports neither
+    cfg = load_config(CONFIG_DIR / f"{name}.ini").with_raw("simulation", **SHORT_RUNS[name])
+    cfg = cfg.with_raw("economy", **economy)
+    target = _closed_form(cfg, cfg.scenario.relative)[2]
+    summary = run_scenario(cfg)
+    tailed = target is not None and target.tail_exponent is not None
+    metrics = summary["metrics"]
+    assert (summary["hill"] is not None) == tailed
+    assert ("alpha_analytic" in metrics) == tailed
+    assert metrics.get("alpha_hat") == (summary["hill"] or {}).get("alpha")
+    assert ("analytic_mean" in metrics) == isinstance(target, GaussianDensity)
 
 
 def test_euler_check_tests_the_prices_every_step_uses(monkeypatch):
