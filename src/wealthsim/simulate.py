@@ -288,6 +288,9 @@ def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     return params.delta * params.s ** 2 * (load @ load.T)
 
 
+_COV_BYTES = 1 << 19  # shocks and increments per sub-block of the covariance probe
+
+
 def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
                                pf: ProductionFunction, wealth, n_samples: int,
                                dt: float = 0.01, seed: int = 0,
@@ -296,22 +299,37 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
 
     Draws ``n_samples`` independent shock vectors, forms the one-step
     increments without ever moving the state, and returns the increment
-    covariance divided by dt next to its analytic counterpart.
+    covariance divided by dt next to its analytic counterpart.  Sample
+    i comes from the stream ``(seed, i // chunk)``, a chunk being about
+    2**22 normals.  Each stream is drawn and stepped in sub-blocks of
+    about ``_COV_BYTES`` whose means and centred co-moments are merged
+    into running ones (Chan, Golub & LeVeque 1983), so memory does not
+    grow with ``n_samples``.
     """
     if n_samples < 2:
         raise DomainError("need at least two samples for a covariance")
     p, state = _frozen_state(params, net, pf, wealth)
     n, f = net.n_households, net.n_firms
 
-    increments = np.empty((n_samples, n))
     chunk = max(1, (1 << 22) // max(f, 1))
+    rows = max(1, _COV_BYTES // (8 * (f + n)))
+    mean, comoment = np.zeros(n), np.zeros((n, n))
     for block, start in enumerate(range(0, n_samples, chunk)):
-        stop = min(start + chunk, n_samples)
-        shocks = sample_firm_shocks((stop - start, f), params, dt, _stream(seed, block))
-        increments[start:stop] = _firm_shock_increment(p, params, net, state, shocks, dt,
-                                                       labor_deterministic)
+        rng, stop = _stream(seed, block), min(start + chunk, n_samples)
+        for lo in range(start, stop, rows):
+            k = min(rows, stop - lo)
+            shocks = sample_firm_shocks((k, f), params, dt, rng)
+            inc = _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic)
+            # merge the sub-block's mean and centred co-moment into those
+            # of the lo samples before it
+            block_mean = inc.mean(axis=0)
+            inc -= block_mean
+            shift = block_mean - mean
+            comoment += inc.T @ inc
+            comoment += np.outer(shift, shift * (lo * k / (lo + k)))
+            mean += shift * (k / (lo + k))
 
-    empirical = np.cov(increments, rowvar=False) / dt
+    empirical = comoment / (n_samples - 1) / dt
     analytic = analytic_noise_covariance(params, net, pf, p,
                                          labor_deterministic=labor_deterministic)
     return empirical, analytic
@@ -433,14 +451,17 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
     only a non-finite mean costs a scan, and a state with a non-finite
     entry raises NonFiniteError carrying the step index.  The state is
     recorded at t=0 when there is no burn-in, then every
-    ``record_every`` from ``burn_in`` on.  Returns the panel, counting
-    the steps and the noise workers.
+    ``record_every`` from ``burn_in`` on, straight into the panel's one
+    preallocated array.  Returns the panel, counting the steps and the
+    noise workers.
     """
     steps_total, burn_steps, rec_steps = config.step_counts()
-    times, snaps = [], []
+    # the steps burn_steps, burn_steps + rec_steps, ... up to steps_total,
+    # step 0 being the state handed in
+    recorded = np.arange(burn_steps, steps_total + 1, rec_steps)
+    snaps = np.empty((recorded.size, state.size))
     if burn_steps == 0:
-        times.append(0.0)
-        snaps.append(state.copy())
+        snaps[0] = state
     workers, noise = _noise(steps_total, width, make, threads)
     try:
         # sum / size is exactly what ndarray.mean computes, without its overhead
@@ -451,11 +472,10 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
             if not math.isfinite(mean) and not np.all(np.isfinite(state)):
                 raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
             if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
-                times.append(step * config.dt)
-                snaps.append(state.copy())
+                snaps[(step - burn_steps) // rec_steps] = state
     finally:
         noise.close()
-    return WealthPanel(times=np.array(times), snapshots=np.array(snaps),
+    return WealthPanel(times=recorded * config.dt, snapshots=snaps,
                        counters={"steps": steps_total, "noise_workers": workers})
 
 

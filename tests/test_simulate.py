@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,53 @@ def test_covariance_zero_noise_is_zero():
             empirical_noise_covariance(params, net, pf, short, n_samples=100)
 
 
+def test_streamed_covariance_equals_one_block_covariance():
+    # F = 4096: 1024 samples per stream, so 3000 samples use three streams,
+    # each pushed through the kernel in many sub-blocks
+    params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.0, nu=0.05,
+                           a=1.0, delta=1.0)
+    n, f, n_samples, dt, seed = 8, 4096, 3000, 0.01, 5
+    net = build_regular(n, f, 512, 1024, seed=4)
+    pf = CobbDouglas(0.3)
+    wealth = P_BAR_STAR * (1.0 + 0.2 * _stream(7, 0).uniform(-1, 1, n))
+    chunk = (1 << 22) // f
+    assert simulate._COV_BYTES // (8 * (f + n)) < chunk // 4
+    state = clear(params, pf, wealth.mean())
+    for labor_deterministic in (False, True):
+        blocks = [_firm_shock_increment(
+            wealth, params, net, state,
+            sample_firm_shocks((min(chunk, n_samples - start), f), params, dt,
+                               _stream(seed, b)),
+            dt, labor_deterministic)
+            for b, start in enumerate(range(0, n_samples, chunk))]
+        assert len(blocks) == 3
+        one_block = np.cov(np.vstack(blocks), rowvar=False) / dt
+        emp, _ = empirical_noise_covariance(params, net, pf, wealth, n_samples=n_samples,
+                                            dt=dt, seed=seed,
+                                            labor_deterministic=labor_deterministic)
+        assert np.max(np.abs(emp - one_block)) <= 1e-12 * np.abs(one_block).max()
+
+
+def test_covariance_probe_memory_does_not_grow_with_samples():
+    # validate's probe: 40 households, 20 firms
+    params = EconomyParams(s=0.2, tau_k=0.2, tau_l=0.1, chi=0.0, nu=0.05,
+                           a=1.0, delta=1.0)
+    net = build_regular(40, 20, 4, 10, seed=3)
+    pf = CobbDouglas(0.3)
+    wealth = P_BAR_STAR * (1.0 + 0.2 * _stream(1, 0).uniform(-1, 1, 40))
+    empirical_noise_covariance(params, net, pf, wealth, n_samples=100, seed=5)  # warm caches
+    peaks = []
+    for n_samples in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            empirical_noise_covariance(params, net, pf, wealth, n_samples=n_samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4e6
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
 def _kernel_jacobian(params, net, pf, wealth, labor_deterministic):
     """The stepping kernel's Jacobian with respect to the firm shocks.
 
@@ -318,6 +366,27 @@ def test_run_absolute_recording_grid():
     assert panel.snapshots.shape == (5, 20)
     assert panel.pooled().size == 100
     np.testing.assert_array_equal(panel.final(), panel.snapshots[-1])
+
+
+@pytest.mark.parametrize("dt, t_end, burn_in, record_every", [
+    (0.25, 10.0, 0.0, 1.0), (0.25, 10.0, 0.0, 1.5), (0.25, 10.0, 2.0, 1.5),
+    (0.25, 7.5, 0.25, 0.25), (0.25, 7.5, 7.25, 1.0), (0.25, 5.0, 0.0, 10.0),
+    (0.1, 3.0, 0.3, 0.7), (0.1, 3.0, 0.0, 0.3), (0.5, 0.5, 0.0, 0.5)])
+def test_recorded_steps_follow_the_recording_rule(dt, t_end, burn_in, record_every):
+    # step 0 when there is no burn-in, then every step at or past the
+    # burn-in that is a whole number of record intervals beyond it
+    cfg = SimulationConfig(dt=dt, t_end=t_end, burn_in=burn_in, record_every=record_every)
+    total, burn, rec = cfg.step_counts()
+    steps = [0] if burn == 0 else []
+    steps += [s for s in range(1, total + 1) if s >= burn and (s - burn) % rec == 0]
+    times = np.array([s * dt for s in steps])
+
+    # each step adds one, so a snapshot holds the index of its step
+    panel = simulate._record(cfg, np.zeros(3), lambda state, step, mean, rows: state + 1.0,
+                             lambda step: np.zeros(1), 1, 1)
+    np.testing.assert_array_equal(panel.times, times)
+    np.testing.assert_array_equal(panel.snapshots, np.repeat(np.array(steps, float)[:, None],
+                                                             3, axis=1))
 
 
 def test_run_absolute_is_deterministic_in_seed():

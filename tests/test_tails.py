@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wealthsim import ccdf_loglog, hill, ks_distance, moments
+from wealthsim import ccdf_loglog, hill, ks_distance, moments, tails
 from wealthsim.errors import DegenerateTailError, InsufficientDataError
 from wealthsim.tails import write_ccdf_table
 
@@ -95,6 +95,28 @@ def test_moments_survive_large_offset():
     shifted = base + 1e9
     m = moments(shifted)
     assert m["variance"] == pytest.approx(np.var(base, ddof=1), rel=1e-6)
+
+
+def test_blocked_statistics_equal_the_one_shot_formulas():
+    # a sample spanning several ks_distance blocks, a partial last one included
+    gen = np.random.default_rng(11)
+    x = gen.gamma(shape=2.0, size=3 * tails._KS_BLOCK + 123)
+    s = np.sort(x)
+    n = s.size
+    model = scipy.stats.gamma(2.0).cdf(s)
+    grid = np.arange(1, n + 1) / n
+    assert ks_distance(x, scipy.stats.gamma(2.0).cdf) == \
+        float(max(np.max(grid - model), np.max(model - (grid - 1.0 / n))))
+
+    mean = math.fsum(x) / n
+    d = x - mean
+    d2 = d * d
+    m2 = float(d2.sum()) / n
+    m3 = float((d2 * d).sum()) / n
+    m4 = float((d2 * d2).sum()) / n
+    assert moments(x) == {"n": n, "mean": mean, "variance": m2 * n / (n - 1),
+                          "skewness": m3 / m2 ** 1.5,
+                          "excess_kurtosis": m4 / (m2 * m2) - 3.0}
 
 
 def test_moments_degenerate_cases():
