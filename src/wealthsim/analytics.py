@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln, ndtr, ndtri
 
 from .errors import (
     DegenerateDiscriminantError,
@@ -189,7 +188,11 @@ def _check_q(q):
 
 
 class GaussianDensity(_Density):
-    """Normal wealth distribution arising when only labor income is risky."""
+    """Normal wealth distribution arising when only labor income is risky.
+
+    Its cdf and quantile import ``scipy.special`` themselves, so runs
+    with other targets never load it.
+    """
 
     def __init__(self, mean, variance):
         if variance <= 0.0:
@@ -203,20 +206,24 @@ class GaussianDensity(_Density):
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def cdf(self, x):
+        from scipy.special import ndtr
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
 
     def quantile(self, q):
+        from scipy.special import ndtri
         return self.mean + self.sd * ndtri(_check_q(q))
 
 
 class InverseGammaDensity(_Density):
     """Density ``rate**shape / Gamma(shape) * x**-(shape+1) * exp(-rate/x)``
     on x > 0.  The tail exponent equals ``shape``; the mean is
-    ``rate / (shape - 1)`` when shape > 1."""
+    ``rate / (shape - 1)`` when shape > 1.  Like the Gaussian, it imports
+    ``scipy.special`` itself."""
 
     support = (0.0, math.inf)
 
     def __init__(self, shape, rate):
+        from scipy.special import gammaln
         if shape <= 0.0 or rate <= 0.0:
             raise DomainError(f"shape and rate must be positive, got {shape}, {rate}")
         self.shape = float(shape)
@@ -234,11 +241,13 @@ class InverseGammaDensity(_Density):
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x):
+        from scipy.special import gammaincc
         arr = np.asarray(x, dtype=float)
         safe = np.where(arr > 0.0, arr, 1.0)
         return np.where(arr > 0.0, gammaincc(self.shape, self.rate / safe), 0.0)
 
     def quantile(self, q):
+        from scipy.special import gammainccinv
         return self.rate / gammainccinv(self.shape, _check_q(q))
 
 
@@ -286,7 +295,7 @@ def _cumulative_exp_integral(log_fn, grid):
     return cum, shift
 
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14  # values per cdf block of a Pearson IV
 
 
 class PearsonType4Density(_Density):

@@ -147,6 +147,10 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         panel, metrics = _run_absolute_scenario(cfg, params, report, threads)
     pooled = panel.pooled()
     measured = target is not None and not isinstance(target, PointMassDensity)
+    # moments' two sample-sized temporaries are freed before the one sorted
+    # copy that KS, Hill and ccdf.csv share
+    stats = moments(pooled)
+    ordered = np.sort(pooled) if measured else None
 
     summary = {
         "scenario": cfg.scenario.name,
@@ -156,10 +160,10 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         "times": panel.times,
         "mean_path": panel.mean_path(),
         "snapshot_count": int(panel.times.size),
-        "moments": moments(pooled),
+        "moments": stats,
         "metrics": metrics,
         "hill": None,
-        "ks_distance": ks_distance(pooled, target.cdf) if measured else None,
+        "ks_distance": ks_distance(ordered, target.cdf) if measured else None,
     }
     if panel.counters:
         summary["counters"] = panel.counters
@@ -167,7 +171,7 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
                        sample_skewness=summary["moments"]["skewness"])
     if target is not None and target.tail_exponent is not None:
-        est, note = _try_hill(pooled)
+        est, note = _try_hill(ordered)
         summary["hill"] = est
         if note:
             metrics["hill_note"] = note
@@ -184,7 +188,7 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
                 grid = target.quantile(np.linspace(0.001, 0.999, 501))
                 write_density_table(target, os.path.join(out_dir, "density.csv"), grid)
             if summary["hill"] is not None:
-                write_ccdf_table(pooled, os.path.join(out_dir, "ccdf.csv"))
+                write_ccdf_table(ordered, os.path.join(out_dir, "ccdf.csv"))
     return summary
 
 

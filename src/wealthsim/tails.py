@@ -38,6 +38,31 @@ class TailEstimate:
     threshold: float
 
 
+_ORDER_BLOCK = 1 << 14  # adjacent pairs per order check in _sorted
+
+
+def _sorted(sample) -> np.ndarray:
+    """The sample as a flat float array in ascending order, NaNs last.
+
+    An input already in that order comes back itself, any other as an
+    ``np.sort`` copy; the input is never changed.  The order is checked
+    over bounded blocks of adjacent pairs: each pair must ascend, or its
+    second value be NaN (so NaNs may only form a suffix).
+    """
+    x = np.asarray(sample, dtype=float).ravel()
+    for lo in range(0, x.size - 1, _ORDER_BLOCK):
+        a = x[lo:lo + _ORDER_BLOCK]
+        b = x[lo + 1:lo + _ORDER_BLOCK + 1]
+        if not np.all((a[:b.size] <= b) | np.isnan(b)):
+            return np.sort(x)
+    return x
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """The finite positive values of an ascending array, as a view."""
+    return x[np.searchsorted(x, 0.0, "right"):np.searchsorted(x, math.inf, "left")]
+
+
 def hill(sample, n_tail: int | None = None) -> TailEstimate:
     """Estimate the tail index from the largest order statistics.
 
@@ -46,8 +71,7 @@ def hill(sample, n_tail: int | None = None) -> TailEstimate:
     reciprocal mean log-excess over the next order statistic, and the
     reported standard error is ``alpha / sqrt(n_tail)``.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    x = x[np.isfinite(x) & (x > 0.0)]
+    x = _positive(_sorted(sample))
     n = x.size
     if n < 10:
         raise InsufficientDataError(f"need at least 10 positive values, got {n}")
@@ -57,7 +81,6 @@ def hill(sample, n_tail: int | None = None) -> TailEstimate:
     if not 2 <= n_tail <= n - 1:
         raise InsufficientDataError(
             f"tail size must lie in [2, {n - 1}], got {n_tail}")
-    x.sort()
     top = x[n - n_tail:]
     threshold = x[n - n_tail - 1]
     if threshold <= 0.0:
@@ -71,7 +94,7 @@ def hill(sample, n_tail: int | None = None) -> TailEstimate:
                         n_tail=n_tail, threshold=threshold)
 
 
-_KS_BLOCK = 1 << 16  # sorted values per cdf evaluation in ks_distance
+_KS_BLOCK = 1 << 14  # sorted values per cdf evaluation in ks_distance
 
 
 def ks_distance(sample, cdf) -> float:
@@ -82,7 +105,7 @@ def ks_distance(sample, cdf) -> float:
     between the empirical step function and the model, checked on both
     sides of every jump.
     """
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    x = _sorted(sample)
     n = x.size
     if n == 0:
         raise InsufficientDataError("empty sample")
@@ -136,18 +159,17 @@ def ccdf_loglog(sample, n_points: int = 200):
     most ``n_points`` rows, suitable for eyeballing tail straightness
     or fitting a slope.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    x = np.sort(x[np.isfinite(x) & (x > 0.0)])
+    x = _positive(_sorted(sample))
     n = x.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 positive values, got {n}")
-    # rank from above: ccdf at x_(i) is (n - i) / n, drop the final zero
-    log_x = np.log(x[:-1])
-    log_ccdf = np.log((n - np.arange(1, n)) / n)
+    # rank from above: ccdf at x_(i) is (n - i) / n, drop the final zero;
+    # the rows are picked before the logs are taken
     if n - 1 > n_points:
         idx = np.unique(np.linspace(0, n - 2, n_points).round().astype(int))
-        log_x, log_ccdf = log_x[idx], log_ccdf[idx]
-    return log_x, log_ccdf
+    else:
+        idx = np.arange(n - 1)
+    return np.log(x[idx]), np.log((n - 1 - idx) / n)
 
 
 def write_ccdf_table(sample, path, n_points: int = 200):

@@ -1,4 +1,4 @@
-"""What importing the package loads."""
+"""What importing the package, and building a target, loads."""
 
 import json
 import os
@@ -8,16 +8,45 @@ from pathlib import Path
 
 import wealthsim
 
+SRC = str(Path(wealthsim.__file__).resolve().parents[1])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+UNUSED = ("scipy.special", "scipy.optimize", "scipy.interpolate")
 
-def test_import_loads_no_scipy_optimize_or_interpolate():
-    # Brent's method and PCHIP live in the package; only scipy.sparse and
-    # scipy.special are needed, and the two heavy subpackages stay unloaded
-    src = str(Path(wealthsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import json, sys, wealthsim; print(json.dumps(sorted(sys.modules)))"
+
+def _loaded_after(code):
+    """Modules a fresh interpreter holds after running ``code``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
-    loaded = json.loads(out)
-    assert "wealthsim" in loaded and "scipy.sparse" in loaded and "scipy.special" in loaded
-    heavy = [m for m in loaded if m.startswith(("scipy.optimize", "scipy.interpolate"))]
-    assert heavy == []
+    return json.loads(out.splitlines()[-1])
+
+
+def _scipy_extras(loaded):
+    return [m for m in loaded if m.startswith(UNUSED)]
+
+
+def test_import_loads_no_scipy_optimize_or_interpolate():
+    # roots and the Pearson IV cdf live in the package, and scipy.special
+    # waits for a target that calls it
+    loaded = _loaded_after("import wealthsim")
+    assert "wealthsim" in loaded and "scipy.sparse" in loaded
+    assert _scipy_extras(loaded) == []
+
+
+def test_pearson_target_loads_no_scipy_special():
+    loaded = _loaded_after(
+        "from wealthsim import load_config\n"
+        "from wealthsim.scenarios import _closed_form\n"
+        f"target = _closed_form(load_config({str(CONFIGS / 'incomplete_markets.ini')!r}))[2]\n"
+        "assert type(target).__name__ == 'PearsonType4Density'\n"
+        "target.cdf([1.0, 7.0]); target.quantile([0.1, 0.9])")
+    assert _scipy_extras(loaded) == []
+
+
+def test_inverse_gamma_cdf_loads_scipy_special():
+    loaded = _loaded_after(
+        "from wealthsim import relative_wealth_density\n"
+        "relative_wealth_density(2.5).cdf([0.5, 1.0])")
+    assert "scipy.special" in loaded
+    assert [m for m in _scipy_extras(loaded) if not m.startswith("scipy.special")] == []

@@ -1,6 +1,7 @@
 """Tail index estimation, distances, and moment summaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,66 @@ def test_ccdf_table_file(tmp_path):
     top = data[data[:, 0] > np.quantile(data[:, 0], 0.5)]
     slope = np.polyfit(top[:, 0], top[:, 1], 1)[0]
     assert slope == pytest.approx(-2.5, abs=0.6)
+
+
+def _logistic(v):
+    return 1.0 / (1.0 + np.exp(-np.asarray(v)))
+
+
+def _order_statistics(x):
+    return hill(x), ccdf_loglog(x), ks_distance(x, _logistic)
+
+
+def _assert_same_statistics(a, b):
+    assert a[0] == b[0]
+    assert all(np.array_equal(u, v) for u, v in zip(a[1], b[1]))
+    assert a[2] == b[2] or (math.isnan(a[2]) and math.isnan(b[2]))
+
+
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_presorted_and_shuffled_samples_give_equal_statistics(with_nan):
+    # several order-check and cdf blocks, a partial last one included, with
+    # negatives, both zeros and both infinities (and NaNs, which make KS NaN)
+    gen = np.random.default_rng(14)
+    x = (1.0 - gen.uniform(size=2 * tails._KS_BLOCK + 77)) ** (-1.0 / 2.5)
+    x[: x.size // 10] *= -1.0
+    junk = [-0.0, 0.0, 0.0, -0.0, np.inf, -np.inf] + [np.nan, np.nan] * with_nan
+    x = np.concatenate([x, junk])
+    ordered, shuffled = np.sort(x), gen.permutation(x)
+    before = ordered.tobytes(), shuffled.tobytes()
+    _assert_same_statistics(_order_statistics(ordered), _order_statistics(shuffled))
+    assert math.isnan(ks_distance(shuffled, _logistic)) == with_nan
+    # an ascending input is used as it is, any other is sorted into a copy
+    assert np.shares_memory(tails._sorted(ordered), ordered)
+    assert not np.shares_memory(tails._sorted(shuffled), shuffled)
+    assert (ordered.tobytes(), shuffled.tobytes()) == before
+
+
+def test_nan_between_finite_values_is_sorted_not_taken_as_ascending():
+    # every finite pair ascends, but a NaN sits between 1 and 0.5
+    x = np.concatenate([np.arange(1.0, 21.0), [np.nan, 0.5, 30.0]])
+    before = x.tobytes()
+    s = tails._sorted(x)
+    assert not np.shares_memory(s, x)
+    np.testing.assert_array_equal(s, np.sort(x))
+    _assert_same_statistics(_order_statistics(x), _order_statistics(np.sort(x)))
+    assert x.tobytes() == before
+    # a NaN suffix keeps an ascending input as it is
+    tail_nan = np.sort(x)
+    assert np.shares_memory(tails._sorted(tail_nan), tail_nan)
+
+
+def test_order_statistics_of_a_sorted_pooled_sample_take_under_1_mb():
+    # 402 000 values, the size of incomplete_markets' pooled panel: no
+    # statistic copies or masks a sorted sample, and KS holds one block of
+    # cdf values at a time (a cheap cdf, so the peak is the statistic's own)
+    gen = np.random.default_rng(15)
+    x = np.sort(7.0 * (1.0 - gen.uniform(size=402_000)) ** (-1.0 / 2.5) - 3.0)
+    for fn in (ccdf_loglog, hill, lambda v: ks_distance(v, _logistic)):
+        tracemalloc.start()
+        try:
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
