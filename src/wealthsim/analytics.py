@@ -396,10 +396,16 @@ class PearsonType4Density(_Density):
         return out if out.ndim else float(out)
 
     def _hermite(self, k, t):
-        # the cdf at angles t, each inside grid interval k
+        # the cdf at angles t, each inside grid interval k: Horner's
+        # c3*s + c2, *s + c1, *s + c0 in one buffer, the same products and
+        # sums as c0 + s*(c1 + s*(c2 + s*c3)), so the same bits
         c0, c1, c2, c3 = self._coef
         s = t - self._grid[k]
-        return c0[k] + s * (c1[k] + s * (c2[k] + s * c3[k]))
+        out = c3[k]
+        for c in (c2, c1, c0):
+            out *= s
+            out += c[k]
+        return out
 
     def cdf(self, x):
         grid = self._grid

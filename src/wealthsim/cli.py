@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
 
 def _sweep_value(cfg: RunConfig, parameter: str, value: float):
     """The scenario economy's regime report at one grid point, or an error."""
-    params, theta = cfg.economy, cfg.theta_bar()
+    params, theta = cfg.economy, None
     if parameter == "theta_bar":
         # sum_j w_ij**2 of a row-stochastic row lies in [1/F, 1]
         if not 0.0 < value <= 1.0:

@@ -209,8 +209,8 @@ def classify_regime(params: EconomyParams, pf: ProductionFunction,
     """Decide the long-run regime and fill in its closed-form quantities.
 
     ``invest_overlap_mean`` scales the capital-noise variance in the tail
-    exponent; use the network's value when one is available, or leave the
-    default 1.0 when the shock variance scale already absorbs it.
+    exponent: the law's invest overlap (``scenarios.scenario_economy``; at 0
+    no capital noise is left, so no exponent), or 1.0 when ``delta`` holds it.
 
     Raises KnifeEdgeError when ``s*a*g'(inf)`` equals ``nu`` exactly.
     """

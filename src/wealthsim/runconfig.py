@@ -62,7 +62,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -185,12 +185,13 @@ class RunConfig:
         return net
 
     def overlap_means(self) -> tuple[float, float, float]:
-        """Mean (invest, cross, labor) self-overlaps for analytic formulas.
+        """Mean (invest, cross, labor) self-overlaps of the network.
 
-        Measured once per config on the configured network, which is
-        built or loaded for it; with no network they are (1, 0, 0), so
-        ``delta`` (or ``delta_theta_product``) is the whole
-        noise-times-overlap product.
+        Measured once per config on the configured network, built or
+        loaded for it; with no network they are (1, 0, 0), so ``delta``
+        (or ``delta_theta_product``) is the whole noise-times-overlap
+        product.  The law reads them only through
+        ``scenarios.scenario_economy``, which applies the scenario's pins.
         """
         return self._overlap_means
 
@@ -201,8 +202,7 @@ class RunConfig:
         return self.build_network().overlap_means()
 
     def theta_bar(self) -> float:
-        """Mean self-overlap of investment portfolios, the first of
-        ``overlap_means()``."""
+        """The network's mean invest self-overlap, before any pin."""
         return self.overlap_means()[0]
 
     def to_dict(self) -> dict:
@@ -380,7 +380,6 @@ def _build(raw_sections: dict) -> RunConfig:
             if network_spec[key] != f:
                 raise ConfigError(f"{scenario.name} requires {key} = n_firms ({f}),"
                                   f" got {network_spec[key]}")
-    simulation = replace(simulation, labor_deterministic=scenario.fixed_wages)
 
     outputs = dict(raw_sections.get("outputs") or {})
     _reject_unknown("outputs", outputs, {"directory", "format"})

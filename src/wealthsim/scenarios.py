@@ -81,52 +81,47 @@ def _try_hill(sample):
             "threshold": est.threshold}, None
 
 
-def _pools_risk(cfg: RunConfig) -> bool:
-    """Both sides are pinned, so every household holds every firm."""
-    return set(cfg.scenario.pinned) == {"invest", "labor"}
-
-
 def scenario_economy(cfg: RunConfig, params=None, theta_bar=None):
-    """The economy a config's scenario runs on and its regime at theta_bar.
+    """The law a config's scenario runs: ``(params, report, overlaps)``.
 
-    Returns ``(params, report)``: ``params`` (the configured economy, or a
-    sweep point's) less the firm noise that pinning both sides pools away.
+    The one reader of the config's overlap means, after a sweep's
+    ``theta_bar`` replaces the invest one.  Pinning both sides pools the
+    firm noise away (``delta`` 0), a pinned invest side shuts the invest
+    and cross overlaps, fixed wages the cross and labor ones, and the
+    regime is classified at the invest overlap left.
     """
     params = cfg.economy if params is None else params
-    if _pools_risk(cfg) and params.delta > 0.0:
-        # every household holds every firm, so idiosyncratic risk pools away;
-        # finite-firm residual noise is not part of this scenario
+    invest, cross, labor = cfg.overlap_means()
+    if theta_bar is not None:
+        invest = theta_bar
+    if set(cfg.scenario.pinned) == {"invest", "labor"} and params.delta > 0.0:
+        # every household holds every firm: finite-firm noise is not in this law
         params = dataclasses.replace(params, delta=0.0)
-    return params, market.classify_regime(
-        params, cfg.production, cfg.theta_bar() if theta_bar is None else theta_bar)
+    if "invest" in cfg.scenario.pinned:
+        invest = cross = 0.0
+    if cfg.scenario.fixed_wages:
+        cross = labor = 0.0
+    return params, market.classify_regime(params, cfg.production, invest), (invest, cross, labor)
 
 
 def _closed_form(cfg: RunConfig, relative: bool | None = None):
-    """The economy a config runs on, its regime and its closed-form target.
+    """``(params, report, target, overlaps)``: the law and its target.
 
-    Returns ``(params, report, target)``: ``scenario_economy`` plus the
-    target.  A growth regime's target is the density of relative wealth
-    (None without a tail exponent), a stationary one's the mean-field
-    density at the config's overlap means, less the channels that
-    deterministic wages or a pinned invest side shut.  A run passes its
-    kind as ``relative`` and gets a target only in the regime that kind
-    measures; with None it is always built.
+    A growth regime's target is the density of relative wealth (None
+    without a tail exponent), a stationary one's the mean-field density at
+    the law's overlaps.  A run passes its kind as ``relative`` and gets a
+    target only in the regime that kind measures; with None it is always
+    built.
     """
-    params, report = scenario_economy(cfg)
-    stationary = report.regime == market.STATIONARY
-    if relative == stationary:
-        return params, report, None
-    if not stationary:
-        alpha = report.tail_exponent
-        return params, report, relative_wealth_density(alpha) if alpha is not None else None
-    invest, cross, labor = cfg.overlap_means()
-    if cfg.scenario.fixed_wages:
-        cross = labor = 0.0
-    if "invest" in cfg.scenario.pinned:
-        invest = cross = 0.0
-    state = market.clear(params, cfg.production, report.mean_wealth)
-    return params, report, stationary_density(
-        mean_field_coeffs(params, state, invest, cross, labor))
+    params, report, overlaps = scenario_economy(cfg)
+    target = None
+    if report.regime != market.STATIONARY:
+        if relative is not False and report.tail_exponent is not None:
+            target = relative_wealth_density(report.tail_exponent)
+    elif not relative:
+        state = market.clear(params, cfg.production, report.mean_wealth)
+        target = stationary_density(mean_field_coeffs(params, state, *overlaps))
+    return params, report, target, overlaps
 
 
 def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> dict:
@@ -140,9 +135,9 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     if cfg.scenario.name is None:
         raise ConfigError("config has no [scenario] section")
     # the target comes first, so a config without a closed form fails before step 1
-    params, report, target = _closed_form(cfg, cfg.scenario.relative)
+    params, report, target, overlaps = _closed_form(cfg, cfg.scenario.relative)
     if cfg.scenario.relative:
-        panel, metrics = _run_relative(cfg, params, report, threads)
+        panel, metrics = _run_relative(cfg, params, report, overlaps[0], threads)
     else:
         panel, metrics = _run_absolute_scenario(cfg, params, report, threads)
     pooled = panel.pooled()
@@ -204,9 +199,10 @@ def _run_absolute_scenario(cfg: RunConfig, params, report, threads):
         base = float(cfg.initial)
     p0 = _initial_wealth(cfg, base, net.n_households)
 
-    panel = run_absolute(cfg.simulation, params, net, cfg.production, p0, threads)
+    panel = run_absolute(cfg.simulation, params, net, cfg.production, p0, threads,
+                         labor_deterministic=cfg.scenario.fixed_wages)
     metrics: dict = {}
-    if _pools_risk(cfg):
+    if set(cfg.scenario.pinned) == {"invest", "labor"}:
         metrics["risk_fully_pooled"] = params.delta != cfg.economy.delta
         if report.regime == market.STATIONARY:
             dev = float(np.max(np.abs(panel.final() - report.mean_wealth)))
@@ -219,7 +215,7 @@ def _run_absolute_scenario(cfg: RunConfig, params, report, threads):
     return panel, metrics
 
 
-def _run_relative(cfg: RunConfig, params, report, threads):
+def _run_relative(cfg: RunConfig, params, report, theta_bar, threads):
     if report.regime == market.STATIONARY:
         raise ConfigError(f"{cfg.scenario.name} needs a growing economy;"
                           " this configuration is stationary")
@@ -227,7 +223,7 @@ def _run_relative(cfg: RunConfig, params, report, threads):
     u0 = _initial_wealth(cfg, 1.0, n)
     u0 /= u0.mean()
 
-    panel = run_relative_growth(cfg.simulation, params, cfg.theta_bar(),
+    panel = run_relative_growth(cfg.simulation, params, theta_bar,
                                 report.capital_return, u0, threads)
     final = panel.final()
     mean_u = float(final.mean())
@@ -339,10 +335,13 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
             return "capital return vanishes at large ratios: no growth transition"
         if params.tau_k == 0.0:
             return "tau_k = 0: both sides of the transition are untaxed, no finite index"
-        rho_inf = params.a * limit
-        boundary = dataclasses.replace(params, nu=params.s * rho_inf)
-        a_stat = tail_exponent_stationary(boundary, rho_inf, cfg.theta_bar())
-        a_eg = tail_exponent_growth(params, rho_inf, cfg.theta_bar())
+        law, _, (theta, _, _) = scenario_economy(cfg)
+        if law.delta == 0.0 or theta == 0.0:
+            return "no capital noise in this law: no tail index to continue"
+        rho_inf = law.a * limit
+        boundary = dataclasses.replace(law, nu=law.s * rho_inf)
+        a_stat = tail_exponent_stationary(boundary, rho_inf, theta)
+        a_eg = tail_exponent_growth(law, rho_inf, theta)
         gap = abs(a_stat - a_eg)
         return (gap < 1e-9, f"|stationary - growth| = {gap:.2e} at the boundary")
 

@@ -58,7 +58,8 @@ class SimulationConfig:
     """Time stepping and recording plan for a run.
 
     Snapshots are recorded at ``burn_in, burn_in + record_every, ...``
-    up to ``t_end``; all three must be multiples of ``dt``.
+    up to ``t_end``; all three must be multiples of ``dt``.  The plan holds
+    no part of the law: ``run_absolute`` takes deterministic labor itself.
     """
 
     dt: float
@@ -66,7 +67,6 @@ class SimulationConfig:
     burn_in: float = 0.0
     record_every: float = 1.0
     seed: int = 0
-    labor_deterministic: bool = False
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -481,10 +481,12 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
 
 def run_absolute(config: SimulationConfig, params: EconomyParams,
                  net: AllocationNetwork, pf: ProductionFunction,
-                 initial, threads: int | None = None) -> WealthPanel:
+                 initial, threads: int | None = None,
+                 labor_deterministic: bool = False) -> WealthPanel:
     """Simulate absolute wealth for every household.
 
-    Prices are recomputed from current mean wealth each step.  The run
+    Prices are recomputed from current mean wealth each step, and with
+    ``labor_deterministic`` wages are paid at the mean firm flow.  The run
     aborts if mean wealth turns non-positive or any state stops being
     finite; both errors carry the offending step index.  The stability
     guard ``s*(1-tau_k)*return*dt < 0.1`` is enforced at t=0; its
@@ -512,7 +514,7 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
         state = clear(params, pf, lam)
         dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
         inc = _firm_shock_increment(p, params, net, state, shocks, config.dt,
-                                    config.labor_deterministic)
+                                    labor_deterministic)
         inc += p
         return inc
 

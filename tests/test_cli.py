@@ -183,12 +183,17 @@ def test_sweep_stdout_matches_file(tmp_path, capsys):
     assert alphas == sorted(alphas)
 
 
-@pytest.mark.parametrize("parameter", ["nu", "delta"])
-def test_sweep_evaluates_the_scenario_economy(tmp_path, parameter, capsys):
-    # CompleteMarkets pools the firm noise away after the grid value is set,
-    # so a sweep at the configured nu or delta reports no alpha, as regime does
-    value = {"nu": "0.05", "delta": "1.0"}[parameter]
-    text = (CONFIG_DIR / "complete_markets.ini").read_text()
+@pytest.mark.parametrize("name, parameter", [
+    *(pytest.param("complete_markets", p, id=p) for p in ("nu", "delta")),
+    *(pytest.param("labor_only", p, id=f"labor_only-{p}") for p in ("nu", "delta", "theta_bar")),
+])
+def test_sweep_evaluates_the_scenario_economy(tmp_path, name, parameter, capsys):
+    # the grid value is set first, then the scenario's pins: CompleteMarkets
+    # pools the firm noise away and LaborOnlyRisk's pinned invest side shuts
+    # the capital noise (a swept theta_bar too), so neither has an alpha in
+    # a sweep, as in regime
+    value = {"nu": "0.05", "delta": "1.0", "theta_bar": "0.5"}[parameter]
+    text = (CONFIG_DIR / f"{name}.ini").read_text()
     cfg = _write(tmp_path, text + f"\n[sweep]\nparameter = {parameter}\nvalues = {value}\n")
     assert main(["regime", "--config", cfg]) == 0
     assert "alpha" not in capsys.readouterr().out
@@ -213,6 +218,38 @@ def test_validate_checks_a_saved_network_like_the_built_one(saved_network_config
     built = capsys.readouterr().out
     assert main(["validate", "--config", str(saved_network_config(name))]) == 0
     assert capsys.readouterr().out == built
+
+
+@pytest.mark.parametrize("name, labor_spread", [("LaborOnlyRisk", 2), ("CompleteMarkets", 10)])
+def test_validate_continuity_without_capital_noise(tmp_path, name, labor_spread, capsys):
+    # a growth-capable CES economy whose scenario pins the invest side: the
+    # law has no capital noise, so there is no tail index to continue
+    cfg = _write(tmp_path, f"""\
+        [economy]
+        s = 0.2
+        tau_k = 0.2
+        nu = 0.01
+        delta = 300
+
+        [production]
+        kind = ces
+        eps = 0.2
+        gam = 0.7
+
+        [network]
+        n_households = 20
+        n_firms = 10
+        invest_spread = 10
+        labor_spread = {labor_spread}
+        seed = 1
+
+        [scenario]
+        name = {name}
+        """)
+    assert main(["validate", "--config", cfg]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["transition_continuity"]["passed"]
+    assert "no tail index to continue" in checks["transition_continuity"]["detail"]
 
 
 def test_validate_failure_exits_1(monkeypatch, capsys):

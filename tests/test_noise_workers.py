@@ -99,10 +99,10 @@ def test_run_steps_as_step_absolute_does(always_fork, spreads, labor_determinist
     # every branch _firm_flows takes, on draws made inline and by workers,
     # against the one-step kernel applied by hand with each step's stream
     params, net, pf = _flow_setup(*spreads)
-    cfg = SimulationConfig(dt=0.5, t_end=20.0, record_every=0.5, seed=3,
-                           labor_deterministic=labor_deterministic)
+    cfg = SimulationConfig(dt=0.5, t_end=20.0, record_every=0.5, seed=3)
     wealth = P_BAR_STAR * (1.0 + 0.3 * _stream(8, 0).uniform(-1.0, 1.0, 24))
-    panels = {threads: run_absolute(cfg, params, net, pf, wealth, threads=threads)
+    panels = {threads: run_absolute(cfg, params, net, pf, wealth, threads=threads,
+                                    labor_deterministic=labor_deterministic)
               for threads in (1, 2)}
     _assert_no_children()
     assert panels[1].counters["noise_workers"] == 0

@@ -20,6 +20,7 @@ from wealthsim import (
 from wealthsim import runconfig
 from wealthsim.cli import main
 from wealthsim.errors import ConfigError, NetworkBuildError
+from wealthsim.scenarios import scenario_economy
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -289,7 +290,10 @@ def test_staggered_wages_forces_deterministic_labor(tmp_path):
         name = StaggeredWages
         """
     cfg = _load(tmp_path, base)
-    assert cfg.simulation.labor_deterministic is True
+    # the scenario, not the time-stepping plan, carries it into the law
+    assert cfg.scenario.fixed_wages is True
+    assert not hasattr(cfg.simulation, "labor_deterministic")
+    assert scenario_economy(cfg)[2][1:] == (0.0, 0.0)
     with pytest.raises(ConfigError):
         _load(tmp_path, base + "\n[simulation]\nlabor_deterministic = false\n")
 

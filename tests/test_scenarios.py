@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from wealthsim import (
     save_network,
     validate_checks,
 )
+from wealthsim.cli import main
 from wealthsim.errors import ConfigError
 from wealthsim.scenarios import _closed_form
 
@@ -259,17 +261,22 @@ def test_validate_checks_pass_on_shipped_config(name):
         assert "no growth transition" in checks[5]["detail"]
 
 
-@pytest.mark.parametrize("name", ["endogenous_growth", "incomplete_markets", "staggered_wages"])
-def test_one_tail_exponent_per_shipped_config(name):
-    # the alpha regime prints, the summary's alpha_analytic and the
-    # target density's tail come from the same coefficients
+@pytest.mark.parametrize("name", sorted(SHORT_RUNS))
+def test_one_tail_exponent_per_shipped_config(name, capsys):
+    # the alpha regime prints, the summary's regime and alpha_analytic and
+    # the target density's tail all read one law: one value, or none at all
+    assert main(["regime", "--config", str(CONFIG_DIR / f"{name}.ini")]) == 0
+    printed = re.search(r"alpha=([^,\s]+)", capsys.readouterr().out)
     cfg = load_config(CONFIG_DIR / f"{name}.ini").with_raw("simulation", **SHORT_RUNS[name])
     alpha = _closed_form(cfg)[2].tail_exponent
-    regime = market.classify_regime(cfg.economy, cfg.production,
-                                    invest_overlap_mean=cfg.theta_bar())
     summary = run_scenario(cfg)
-    assert regime.tail_exponent == pytest.approx(alpha, rel=1e-12, abs=0)
-    assert summary["metrics"]["alpha_analytic"] == pytest.approx(alpha, rel=1e-12, abs=0)
+    reported = [summary["regime"]["tail_exponent"], summary["metrics"].get("alpha_analytic")]
+    if alpha is None:
+        assert printed is None
+        assert reported == [None, None]
+    else:
+        assert printed.group(1) == f"{alpha:.6g}"
+        assert reported == [pytest.approx(alpha, rel=1e-12, abs=0)] * 2
 
 
 @pytest.mark.parametrize("name, economy", [
@@ -386,6 +393,14 @@ def test_validate_checks_degenerate_branches():
     by_name = {c["name"]: c for c in validate_checks(untaxed)}
     assert "tau_k = 0" in by_name["transition_continuity"]["detail"]
     assert "no stationary shape" in by_name["density_normalization"]["detail"]
+
+    still = config_from_dict({
+        "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01", "delta": "0"},
+        "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
+    })
+    by_name = {c["name"]: c for c in validate_checks(still)}
+    assert all(c["passed"] for c in by_name.values())
+    assert "no tail index to continue" in by_name["transition_continuity"]["detail"]
 
 
 def test_validate_checks_boundary_continuity_for_growth_config():
