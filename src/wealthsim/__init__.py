@@ -47,12 +47,10 @@ from .market import (
     RegimeReport,
     classify_regime,
     clear,
-    stationary_mean_wealth,
     stationary_roots,
 )
 from .network import (
     AllocationNetwork,
-    OverlapStats,
     build_heterogeneous,
     build_regular,
     load_network,
@@ -95,11 +93,10 @@ __all__ = [
     "PriceUndefinedError", "RegimeMismatchError", "WealthsimError",
     # market
     "CONDITIONAL_GROWTH", "ENDOGENOUS_GROWTH", "STATIONARY", "MarketState",
-    "RegimeReport", "classify_regime", "clear", "stationary_mean_wealth",
-    "stationary_roots",
+    "RegimeReport", "classify_regime", "clear", "stationary_roots",
     # network
-    "AllocationNetwork", "OverlapStats", "build_heterogeneous",
-    "build_regular", "load_network", "save_network",
+    "AllocationNetwork", "build_heterogeneous", "build_regular",
+    "load_network", "save_network",
     # params
     "CES", "CobbDouglas", "EconomyParams", "ProductionFunction",
     "validate_params",

@@ -49,8 +49,7 @@ _FLAGS = {
     "seed": dict(type=int, help="override the simulation seed"),
     "format": dict(choices=("csv", "json"), help="override the [outputs] format"),
     "threads": dict(type=int, help="most noise worker processes a long simulation forks "
-                                   "(default 2; env WEALTHSIM_THREADS as fallback); "
-                                   "results do not depend on it"),
+                                   "(default 2); results do not depend on it"),
 }
 
 
@@ -71,23 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             cmd.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-def _resolve_threads(args) -> int | None:
-    """``--threads``, else ``WEALTHSIM_THREADS``, else None (the default)."""
-    if args.threads is not None:
-        n = args.threads
-    else:
-        text = os.environ.get("WEALTHSIM_THREADS")
-        if text is None:
-            return None
-        try:
-            n = int(text)
-        except ValueError as exc:
-            raise ConfigError(f"WEALTHSIM_THREADS = {text!r} is not an integer") from exc
-    if n < 1:
-        raise ConfigError(f"thread count must be positive, got {n}")
-    return n
 
 
 def _out_dir(args, cfg) -> str | None:
@@ -124,8 +106,9 @@ def cmd_simulate(args) -> int:
         cfg = cfg.with_seed(args.seed)
     if args.format is not None:
         cfg = cfg.with_raw("outputs", format=args.format)
-    threads = _resolve_threads(args)
-    summary = run_scenario(cfg, out_dir=_out_dir(args, cfg), threads=threads)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"thread count must be positive, got {args.threads}")
+    summary = run_scenario(cfg, out_dir=_out_dir(args, cfg), threads=args.threads)
     line = {k: summary["metrics"][k] for k in sorted(summary.get("metrics", {}))}
     print(f"{summary['scenario']}: {summary['snapshot_count']} snapshots, "
           f"final mean {summary['mean_path'][-1]:.6g}")

@@ -28,7 +28,6 @@ __all__ = [
     "MarketState",
     "RegimeReport",
     "clear",
-    "stationary_mean_wealth",
     "stationary_roots",
     "classify_regime",
 ]
@@ -171,12 +170,6 @@ def stationary_roots(params: EconomyParams, pf: ProductionFunction):
     return float(stable), float(_bisect(drift, lo, peak))
 
 
-def stationary_mean_wealth(params: EconomyParams, pf: ProductionFunction) -> float:
-    """The stable fixed point of mean wealth."""
-    stable, _ = stationary_roots(params, pf)
-    return stable
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Long-run diagnosis of the aggregate economy.
@@ -210,7 +203,8 @@ def classify_regime(params: EconomyParams, pf: ProductionFunction,
 
     ``invest_overlap_mean`` scales the capital-noise variance in the tail
     exponent: the law's invest overlap (``scenarios.scenario_economy``; at 0
-    no capital noise is left, so no exponent), or 1.0 when ``delta`` holds it.
+    no capital noise is left, so no exponent); 1.0 without a network, where
+    ``delta`` is the whole noise-times-overlap product.
 
     Raises KnifeEdgeError when ``s*a*g'(inf)`` equals ``nu`` exactly.
     """

@@ -22,7 +22,6 @@ from .errors import DomainError, NetworkBuildError
 
 __all__ = [
     "AllocationNetwork",
-    "OverlapStats",
     "build_regular",
     "build_heterogeneous",
     "save_network",
@@ -46,21 +45,6 @@ def _check_row_stochastic(mat, name):
     worst = np.max(np.abs(rows - 1.0)) if rows.size else 1.0
     if worst > _ROW_SUM_TOL:
         raise DomainError(f"{name} rows must sum to 1, worst deviation {worst:.3e}")
-
-
-@dataclass(frozen=True)
-class OverlapStats:
-    """Pairwise portfolio overlaps.
-
-    ``invest[i, m]`` is the probability-weighted number of firms the
-    investment portfolios of households i and m share; ``labor`` is the
-    analog for labor allocations and ``cross`` mixes the two sides.
-    Their diagonal means come from ``AllocationNetwork.overlap_means``.
-    """
-
-    invest: np.ndarray
-    cross: np.ndarray
-    labor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,18 +118,17 @@ class AllocationNetwork:
                 mean_diag(self.invest, self.labor),
                 mean_diag(self.labor, self.labor))
 
-    def overlaps(self) -> OverlapStats:
-        """Dense pairwise overlaps: three N x N matrices, for small N only.
+    def overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense pairwise overlaps: the (invest, cross, labor) N x N matrices,
+        for small N only.  ``overlap_means`` are their diagonal means.
 
         No simulation or check calls it.  It is the dense reference that
         the tests compare ``overlap_means`` against, and the benchmark's
         tracer still counts its calls and dense bytes.
         """
-        return OverlapStats(
-            invest=(self.invest @ self.invest.T).toarray(),
-            cross=(self.invest @ self.labor.T).toarray(),
-            labor=(self.labor @ self.labor.T).toarray(),
-        )
+        return ((self.invest @ self.invest.T).toarray(),
+                (self.invest @ self.labor.T).toarray(),
+                (self.labor @ self.labor.T).toarray())
 
 
 def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):

@@ -31,11 +31,9 @@ A run is described by a flat INI file, for example::
 
 Notes on individual keys:
 
-* ``[economy] delta_theta_product`` is an alternative to ``delta`` for
-  configs quoted as a noise-times-overlap product: the value is stored
-  as ``delta`` at overlap 1.  Giving both keys is an error, and so is
-  giving it beside a ``[network]``, whose measured overlap would scale
-  the product again.
+* ``[economy] delta`` scales the firm-shock variance.  Without a
+  ``[network]`` the overlaps are (1, 0, 0), so ``delta`` is the whole
+  noise-times-overlap product.
 * ``[network] file`` loads a saved network instead of building one and
   takes none of the build keys.  Either way the network's mean
   self-overlaps are measured once per config (``overlap_means``).
@@ -100,7 +98,7 @@ SCENARIOS = (
 )
 SWEEPABLE = ("nu", "s", "tau_k", "delta", "theta_bar")
 
-_ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta", "delta_theta_product"}
+_ECONOMY_KEYS = {"s", "tau_k", "tau_l", "chi", "nu", "a", "delta"}
 _BUILD_KEYS = ("n_households", "n_firms", "invest_spread", "labor_spread", "seed")
 _GRID_KEYS = ("start", "stop", "count")
 _SIMULATION_KEYS = {"dt", "t_end", "burn_in", "record_every", "seed",
@@ -189,9 +187,8 @@ class RunConfig:
 
         Measured once per config on the configured network, built or
         loaded for it; with no network they are (1, 0, 0), so ``delta``
-        (or ``delta_theta_product``) is the whole noise-times-overlap
-        product.  The law reads them only through
-        ``scenarios.scenario_economy``, which applies the scenario's pins.
+        is the whole noise-times-overlap product.  The law reads them only
+        through ``scenarios.scenario_economy``, which applies the pins.
         """
         return self._overlap_means
 
@@ -200,10 +197,6 @@ class RunConfig:
         if self.network_spec is None:
             return 1.0, 0.0, 0.0
         return self.build_network().overlap_means()
-
-    def theta_bar(self) -> float:
-        """The network's mean invest self-overlap, before any pin."""
-        return self.overlap_means()[0]
 
     def to_dict(self) -> dict:
         return {section: dict(keys) for section, keys in self.raw.items()}
@@ -225,7 +218,6 @@ class RunConfig:
 
 def _parse_economy(raw) -> EconomyParams:
     _reject_unknown("economy", raw, _ECONOMY_KEYS)
-    _reject_beside("economy", raw, "delta", ("delta_theta_product",))
     values = {
         "s": _float("economy", "s", raw),
         "tau_k": _float("economy", "tau_k", raw, 0.0),
@@ -233,11 +225,8 @@ def _parse_economy(raw) -> EconomyParams:
         "chi": _float("economy", "chi", raw, 0.0),
         "nu": _float("economy", "nu", raw, 0.05),
         "a": _float("economy", "a", raw, 1.0),
+        "delta": _float("economy", "delta", raw, 1.0),
     }
-    if "delta_theta_product" in raw:
-        values["delta"] = _float("economy", "delta_theta_product", raw)
-    else:
-        values["delta"] = _float("economy", "delta", raw, 1.0)
     problems = validate_params(**values)
     if problems:
         raise ConfigError("invalid [economy] values: " + "; ".join(problems))
@@ -252,7 +241,7 @@ def _parse_production(raw) -> ProductionFunction:
             return CES(_float("production", "eps", raw), _float("production", "gam", raw))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-    if kind in ("cobb_douglas", "cobbdouglas"):
+    if kind == "cobb_douglas":
         _reject_unknown("production", raw, {"kind", "eps"})
         try:
             return CobbDouglas(_float("production", "eps", raw))
@@ -352,9 +341,6 @@ def _build(raw_sections: dict) -> RunConfig:
     economy = _parse_economy(raw_sections["economy"])
     production = _parse_production(raw_sections["production"])
     network_spec = _parse_network(raw_sections.get("network"))
-    if network_spec is not None and "delta_theta_product" in raw_sections["economy"]:
-        raise ConfigError("[economy] delta_theta_product already holds the overlap;"
-                          " beside a [network] give delta instead")
     simulation, initial, spread = _parse_simulation(raw_sections.get("simulation"))
     sweep = _parse_sweep(raw_sections.get("sweep"))
 

@@ -38,6 +38,7 @@ from wealthsim import (
     tail_exponent_stationary,
 )
 from wealthsim.cli import sweep_rows
+from wealthsim.scenarios import scenario_economy
 from wealthsim.runconfig import config_from_dict
 from wealthsim.simulate import _stream
 
@@ -120,7 +121,7 @@ def test_undiversified_capital_risk_produces_pareto_tail():
     cfg = load_config(CONFIG_DIR / "incomplete_markets.ini")
     params, pf = cfg.economy, cfg.production
     net = cfg.build_network()
-    report = classify_regime(params, pf, invest_overlap_mean=cfg.theta_bar())
+    report = classify_regime(params, pf, invest_overlap_mean=scenario_economy(cfg)[2][0])
     assert report.tail_exponent == pytest.approx(STAT_ALPHA_D700, rel=1e-12)
     panel = run_absolute(cfg.simulation, params, net, pf,
                          np.full(net.n_households, report.mean_wealth))
@@ -146,9 +147,9 @@ def test_deterministic_wages_bound_wealth_above_zero():
     # closed-form side: the density with wage channels silenced has the
     # same log-log tail slope as -(alpha + 1)
     params, pf = cfg.economy, cfg.production
-    report = classify_regime(params, pf, invest_overlap_mean=cfg.theta_bar())
+    report = classify_regime(params, pf, invest_overlap_mean=scenario_economy(cfg)[2][0])
     state = clear(params, pf, report.mean_wealth)
-    coeffs = mean_field_coeffs(params, state, cfg.theta_bar(), 0.0, 0.0)
+    coeffs = mean_field_coeffs(params, state, scenario_economy(cfg)[2][0], 0.0, 0.0)
     slope = log_log_slope(stationary_density(coeffs).pdf)
     gap = abs(slope + (report.tail_exponent + 1.0))
     print(f"[measured] tail slope {slope:.6f} vs {-(report.tail_exponent + 1):.6f}, "
@@ -242,7 +243,7 @@ def test_consumption_rate_sweep_traces_both_regimes():
     values = " ".join(repr(v) for v in (0.004, 0.012, lo, hi, 0.028, 0.036))
     cfg = config_from_dict({
         "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01",
-                    "delta_theta_product": "300"},
+                    "delta": "300"},
         "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
         "sweep": {"parameter": "nu", "values": values},
     })
@@ -274,7 +275,7 @@ def test_consumption_rate_sweep_traces_both_regimes():
 def test_higher_saving_raises_growth_and_inequality():
     cfg = config_from_dict({
         "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01",
-                    "delta_theta_product": "300"},
+                    "delta": "300"},
         "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
         "sweep": {"parameter": "s",
                   "values": "0.15 0.2 0.3 0.4 0.55 0.7 0.9"},

@@ -112,8 +112,8 @@ def test_growth_coefficients_give_the_relative_wealth_density():
     # du = r(1-u)dt + sigma*u dW is the affine family with intercept =
     # slope, whose inverse gamma has rate alpha - 1
     cfg = load_config(CONFIG_DIR / "endogenous_growth.ini")
-    report = classify_regime(cfg.economy, cfg.production, invest_overlap_mean=cfg.theta_bar())
-    co = _growth_coeffs(cfg.economy, report.capital_return, cfg.theta_bar())
+    report = classify_regime(cfg.economy, cfg.production, invest_overlap_mean=cfg.overlap_means()[0])
+    co = _growth_coeffs(cfg.economy, report.capital_return, cfg.overlap_means()[0])
     assert co.drift_intercept == co.drift_slope
     assert co.tail_exponent == report.tail_exponent
     q = np.linspace(0.001, 0.999, 501)

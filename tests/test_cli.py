@@ -372,7 +372,7 @@ def test_knife_edge_exits_3(tmp_path, capsys):
         s = 0.2
         tau_k = 0.2
         nu = 0.02006787642490816
-        delta_theta_product = 300
+        delta = 300
 
         [production]
         kind = ces
@@ -384,7 +384,7 @@ def test_knife_edge_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("knife-edge:")
 
 
-def test_bad_thread_count_fails_before_the_regime(tmp_path, capsys, monkeypatch):
+def test_bad_thread_count_fails_before_the_regime(tmp_path, capsys):
     # a knife-edge economy exits 3 once classified; a bad count is a config
     # error found before that
     cfg = _write(tmp_path, """\
@@ -414,9 +414,7 @@ def test_bad_thread_count_fails_before_the_regime(tmp_path, capsys, monkeypatch)
         """)
     assert main(["simulate", "--config", cfg]) == 3
     assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
-    monkeypatch.setenv("WEALTHSIM_THREADS", "0")
-    assert main(["simulate", "--config", cfg]) == 2
-    assert capsys.readouterr().err.count("thread count must be positive") == 2
+    assert "thread count must be positive" in capsys.readouterr().err
 
 
 def test_seed_override_is_deterministic(tmp_path, capsys):
@@ -432,7 +430,7 @@ def test_seed_override_is_deterministic(tmp_path, capsys):
     assert panels["a"] != panels["c"]
 
 
-def test_threads_hint_never_changes_results(tmp_path, capsys, monkeypatch):
+def test_threads_hint_never_changes_results(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL_RUN)
     outs = []
     for label, extra in (("t1", ["--threads", "1"]), ("t4", ["--threads", "4"])):
@@ -444,10 +442,6 @@ def test_threads_hint_never_changes_results(tmp_path, capsys, monkeypatch):
 
     assert main(["simulate", "--config", cfg, "--threads", "0"]) == 2
     assert "thread count" in capsys.readouterr().err
-    for env in ("-3", "abc"):
-        monkeypatch.setenv("WEALTHSIM_THREADS", env)
-        assert main(["simulate", "--config", cfg]) == 2
-        capsys.readouterr()
 
 
 def test_module_entry_point(tmp_path):

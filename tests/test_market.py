@@ -22,14 +22,13 @@ from wealthsim.market import (
     ENDOGENOUS_GROWTH,
     CONDITIONAL_GROWTH,
     clear,
-    stationary_mean_wealth,
     stationary_roots,
 )
 
 
 def test_stationary_mean_closed_form(cd_benchmark):
     params, pf = cd_benchmark
-    assert stationary_mean_wealth(params, pf) == pytest.approx(P_BAR_STAR, rel=1e-14)
+    assert stationary_roots(params, pf)[0] == pytest.approx(P_BAR_STAR, rel=1e-14)
 
 
 def test_cleared_prices(cd_benchmark):
@@ -131,13 +130,13 @@ def test_knife_edge_raises(ces_growth):
 def test_stationary_solver_rejects_growing_economy(ces_growth):
     params, pf = ces_growth
     with pytest.raises(RegimeMismatchError):
-        stationary_mean_wealth(params, pf)
+        stationary_roots(params, pf)[0]
 
 
 def test_ces_stationary_mean():
     # nu above s*rho_inf: fixed point exists and solves 0.2*g(p) = 0.05*p
     params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.05, a=1.0, delta=300.0)
-    p_bar = stationary_mean_wealth(params, CES(0.2, 0.7))
+    p_bar = stationary_roots(params, CES(0.2, 0.7))[0]
     assert p_bar == pytest.approx(8.494847436527852, rel=1e-13)
     pf = CES(0.2, 0.7)
     assert 0.2 * pf.value(p_bar) == pytest.approx(0.05 * p_bar, rel=1e-13)
@@ -152,7 +151,7 @@ def test_power_technology_mean_closed_form():
     for nu, s, eps in economies:
         params = EconomyParams(s=s, nu=nu, a=1.0, delta=1.0)
         pf = CobbDouglas(eps)
-        p_bar = stationary_mean_wealth(params, pf)
+        p_bar = stationary_roots(params, pf)[0]
         # closed form for the power technology
         assert p_bar == pytest.approx((s / nu) ** (1.0 / (1.0 - eps)), rel=1e-12)
 

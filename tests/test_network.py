@@ -32,20 +32,20 @@ def test_regular_network_is_balanced():
 
 def test_overlap_statistics():
     net = build_regular(40, 20, 4, 10, seed=3)
-    ov = net.overlaps()
+    invest, cross, labor = net.overlaps()
     # a household fully overlaps itself: diagonal is 1/spread exactly
-    np.testing.assert_allclose(np.diag(ov.invest), 0.25, atol=1e-15)
-    np.testing.assert_allclose(np.diag(ov.labor), 0.1, atol=1e-15)
+    np.testing.assert_allclose(np.diag(invest), 0.25, atol=1e-15)
+    np.testing.assert_allclose(np.diag(labor), 0.1, atol=1e-15)
     invest_mean, _, labor_mean = net.overlap_means()
     assert invest_mean == pytest.approx(0.25)
     assert labor_mean == pytest.approx(0.1)
-    np.testing.assert_allclose(ov.invest, ov.invest.T, atol=0)
-    np.testing.assert_allclose(ov.labor, ov.labor.T, atol=0)
-    assert np.all(ov.invest >= 0) and np.all(ov.labor >= 0) and np.all(ov.cross >= 0)
+    np.testing.assert_allclose(invest, invest.T, atol=0)
+    np.testing.assert_allclose(labor, labor.T, atol=0)
+    assert np.all(invest >= 0) and np.all(labor >= 0) and np.all(cross >= 0)
     # off-diagonal overlap cannot exceed the self-overlap of the more
     # concentrated side
-    assert ov.invest.max() <= 0.25 + 1e-15
-    assert ov.cross.max() <= 0.25 + 1e-15
+    assert invest.max() <= 0.25 + 1e-15
+    assert cross.max() <= 0.25 + 1e-15
 
 
 def test_same_seed_reproduces_network():
@@ -149,9 +149,8 @@ def test_load_rejects_corrupt_files(tmp_path):
 ], ids=["regular", "heterogeneous", "all_firms"])
 def test_overlap_means_match_dense_diagonals(build):
     net = build()
-    ov = net.overlaps()
     means = net.overlap_means()
-    dense = [np.mean(np.diag(m)) for m in (ov.invest, ov.cross, ov.labor)]
+    dense = [np.mean(np.diag(m)) for m in net.overlaps()]
     np.testing.assert_allclose(means, dense, rtol=1e-15, atol=0)
 
 

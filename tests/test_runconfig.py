@@ -52,7 +52,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.initial == "stationary"
     assert cfg.initial_spread == 0.0
     assert cfg.outputs["format"] == "csv"
-    assert cfg.theta_bar() == 1.0
+    assert cfg.overlap_means()[0] == 1.0
 
 
 def test_inline_comments_and_types(tmp_path):
@@ -100,49 +100,31 @@ def test_shipped_configs_all_parse():
         assert cfg.economy.s > 0.0
 
 
-def test_delta_theta_product(tmp_path):
-    cfg = _load(tmp_path, """\
-        [economy]
-        s = 0.2
-        tau_k = 0.2
-        nu = 0.01
-        delta_theta_product = 300
+_PRODUCT_KEY = "[economy]\ns = 0.2\ndelta_theta_product = 300\n"
+_COBB_DOUGLAS = "[production]\nkind = cobb_douglas\neps = 0.3\n"
+REMOVED_SPELLINGS = {
+    "delta_theta_product": (_PRODUCT_KEY + _COBB_DOUGLAS,
+                            "[economy] has unknown keys: delta_theta_product"),
+    "delta_theta_product_beside_network": (
+        _PRODUCT_KEY + _COBB_DOUGLAS + "[network]\nn_households = 20\nn_firms = 20\n"
+        "invest_spread = 2\nlabor_spread = 2\n",
+        "[economy] has unknown keys: delta_theta_product"),
+    "cobbdouglas": ("[economy]\ns = 0.2\n[production]\nkind = cobbdouglas\neps = 0.3\n",
+                    "[production] kind must be ces or cobb_douglas, got 'cobbdouglas'"),
+}
 
-        [production]
-        kind = ces
-        eps = 0.2
-        gam = 0.7
-        """)
-    assert cfg.economy.delta == 300.0
-    assert cfg.theta_bar() == 1.0
-    with pytest.raises(ConfigError):
-        _load(tmp_path, """\
-            [economy]
-            s = 0.2
-            delta = 1
-            delta_theta_product = 300
 
-            [production]
-            kind = cobb_douglas
-            eps = 0.3
-            """)
-    # a network's measured overlap would scale the product a second time
-    with pytest.raises(ConfigError, match="beside a \\[network\\] give delta"):
-        _load(tmp_path, """\
-            [economy]
-            s = 0.2
-            delta_theta_product = 300
-
-            [production]
-            kind = cobb_douglas
-            eps = 0.3
-
-            [network]
-            n_households = 20
-            n_firms = 20
-            invest_spread = 2
-            labor_spread = 2
-            """)
+@pytest.mark.parametrize("command", ["regime", "validate", "simulate", "sweep"])
+@pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+def test_removed_spellings_are_config_errors(tmp_path, capsys, command, spelling):
+    # one name per setting: without a [network] the overlaps are (1, 0, 0),
+    # so delta is already the noise-times-overlap product, and the
+    # production kind is spelled cobb_douglas
+    text, message = REMOVED_SPELLINGS[spelling]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_invalid_economy_values_are_collected(tmp_path):
@@ -355,7 +337,7 @@ def test_network_from_file(tmp_path):
     loaded = cfg.build_network()
     assert loaded.n_households == 6
     assert loaded.n_firms == 3
-    assert cfg.theta_bar() == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert cfg.overlap_means()[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
     with pytest.raises(ConfigError):
         _load(tmp_path, MINIMAL + "\n[network]\nfile = /nonexistent/net.txt\n")
     # a build key beside file would be ignored
@@ -376,7 +358,8 @@ def test_network_file_is_loaded_once_per_config(tmp_path, monkeypatch):
     monkeypatch.setattr(runconfig, "load_network", counting_load)
     cfg = _load(tmp_path, MINIMAL + f"\n[network]\nfile = {net_path}\n")
     assert calls == []      # parsing the config does not load the network
-    assert cfg.theta_bar() == cfg.theta_bar() == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert cfg.overlap_means() == cfg.overlap_means()
+    assert cfg.overlap_means()[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert cfg.build_network() is cfg.build_network()
     assert len(calls) == 1
 
@@ -387,13 +370,12 @@ def test_build_network_from_spec(tmp_path):
                 "invest_spread = 2\nlabor_spread = 5\nseed = 3\n")
     net = cfg.build_network()
     assert (net.n_households, net.n_firms) == (40, 10)
-    assert cfg.theta_bar() == 0.5
-    # theta_bar is the measured invest overlap, to the last bit
+    assert cfg.overlap_means()[0] == 0.5
+    # the overlaps are the measured ones, to the last bit
     for name in ("complete_markets", "labor_only"):
         shipped = load_config(CONFIG_DIR / f"{name}.ini")
         measured = shipped.build_network().overlap_means()
         assert shipped.overlap_means() == measured
-        assert shipped.theta_bar() == measured[0]
     bare = _load(tmp_path, MINIMAL)
     with pytest.raises(ConfigError):
         bare.build_network()

@@ -155,7 +155,7 @@ def test_staggered_wages_floor():
 def _growth_relative_cfg():
     return config_from_dict({
         "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01",
-                    "delta_theta_product": "10"},
+                    "delta": "10"},
         "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
         "simulation": {"dt": "0.25", "t_end": "300", "burn_in": "200",
                        "record_every": "50", "seed": "3"},
@@ -222,7 +222,7 @@ def test_relative_growth_extreme_tail_matches_density():
     # closed-form shape even though sample moments are useless there
     cfg = config_from_dict({
         "economy": {"s": "0.2", "tau_k": "0.2", "nu": "0.01",
-                    "delta_theta_product": "300"},
+                    "delta": "300"},
         "production": {"kind": "ces", "eps": "0.2", "gam": "0.7"},
         "simulation": {"dt": "0.25", "t_end": "2500", "burn_in": "2400",
                        "record_every": "50", "seed": "2"},
