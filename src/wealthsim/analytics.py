@@ -170,15 +170,6 @@ class _Density:
     support: tuple[float, float] = (-math.inf, math.inf)
     tail_exponent: float | None = None
 
-    def pdf(self, x):
-        raise NotImplementedError
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def quantile(self, q):
-        raise NotImplementedError
-
 
 def _check_q(q):
     arr = np.asarray(q, dtype=float)

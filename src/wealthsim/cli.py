@@ -103,17 +103,16 @@ def cmd_regime(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+        cfg = cfg.with_raw("simulation", seed=str(args.seed))
     if args.format is not None:
         cfg = cfg.with_raw("outputs", format=args.format)
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"thread count must be positive, got {args.threads}")
     summary = run_scenario(cfg, out_dir=_out_dir(args, cfg), threads=args.threads)
-    line = {k: summary["metrics"][k] for k in sorted(summary.get("metrics", {}))}
     print(f"{summary['scenario']}: {summary['snapshot_count']} snapshots, "
           f"final mean {summary['mean_path'][-1]:.6g}")
-    for key, value in line.items():
-        print(f"  {key} = {value}")
+    for key in sorted(summary["metrics"]):
+        print(f"  {key} = {summary['metrics'][key]}")
     if summary.get("ks_distance") is not None:
         print(f"  ks_distance = {summary['ks_distance']:.4g}")
     return EXIT_OK
@@ -145,6 +144,7 @@ def sweep_rows(cfg: RunConfig) -> list[list[str]]:
     if cfg.sweep is None:
         raise ConfigError("config has no [sweep] section")
     parameter, grid = cfg.sweep
+    cfg.overlap_means()  # a network that cannot be built or loaded fails the sweep
     rows = []
     for value in grid:
         out = _sweep_value(cfg, parameter, float(value))

@@ -13,7 +13,6 @@ __all__ = [
     "PriceUndefinedError",
     "NonFiniteError",
     "InsufficientDataError",
-    "NonPositiveThresholdError",
     "DegenerateTailError",
 ]
 
@@ -73,10 +72,6 @@ class NonFiniteError(WealthsimError):
 
 class InsufficientDataError(WealthsimError, ValueError):
     """Too few usable observations for the requested estimate."""
-
-
-class NonPositiveThresholdError(WealthsimError, ValueError):
-    """The order statistic used as a tail threshold is not positive."""
 
 
 class DegenerateTailError(WealthsimError, ValueError):

@@ -30,6 +30,9 @@ __all__ = [
     "clear",
     "stationary_roots",
     "classify_regime",
+    "STATIONARY",
+    "ENDOGENOUS_GROWTH",
+    "CONDITIONAL_GROWTH",
 ]
 
 STATIONARY = "stationary"

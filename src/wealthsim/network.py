@@ -42,7 +42,7 @@ def _check_row_stochastic(mat, name):
     if data.size and (np.any(data < 0.0) or np.any(data > 1.0)):
         raise DomainError(f"{name} weights must lie in [0, 1]")
     rows = np.asarray(mat.sum(axis=1)).ravel()
-    worst = np.max(np.abs(rows - 1.0)) if rows.size else 1.0
+    worst = np.max(np.abs(rows - 1.0))
     if worst > _ROW_SUM_TOL:
         raise DomainError(f"{name} rows must sum to 1, worst deviation {worst:.3e}")
 
@@ -131,7 +131,7 @@ class AllocationNetwork:
                 (self.labor @ self.labor.T).toarray())
 
 
-def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):
+def _balanced_rows(n_rows, n_firms, spread, rng):
     """Assign each row ``spread`` distinct firms with equal firm in-degrees.
 
     Firms appear ``n_rows * spread / n_firms`` times overall.  A shuffled
@@ -147,7 +147,7 @@ def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):
             f"{n_rows}*{spread} is not a multiple of {n_firms}")
     if spread > n_firms // 2:
         # build the complement; fewer collisions, same divisibility condition
-        comp = _balanced_rows(n_rows, n_firms, n_firms - spread, rng, max_passes)
+        comp = _balanced_rows(n_rows, n_firms, n_firms - spread, rng)
         all_firms = np.arange(n_firms)
         rows = np.empty((n_rows, spread), dtype=np.int64)
         for i in range(n_rows):
@@ -157,7 +157,7 @@ def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):
     slots = np.repeat(np.arange(n_firms), total // n_firms)
     rng.shuffle(slots)
     rows = slots.reshape(n_rows, spread)
-    for _ in range(max_passes):
+    for _ in range(500):  # repair passes before giving up
         srt = np.sort(rows, axis=1)
         bad_rows = np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0]
         if bad_rows.size == 0:
@@ -174,12 +174,9 @@ def _balanced_rows(n_rows, n_firms, spread, rng, max_passes=500):
                 for _try in range(50):
                     j = int(rng.integers(n_rows))
                     d = int(rng.integers(spread))
-                    if j == i:
-                        continue
                     g = rows[j, d]
-                    if g == f or g in seen:
-                        continue
-                    if np.any(rows[j] == f):
+                    # j == i or g == f is refused too: rows[j] then holds f
+                    if g in seen or np.any(rows[j] == f):
                         continue
                     rows[i, c], rows[j, d] = g, f
                     seen.add(g)
@@ -204,6 +201,9 @@ def build_regular(n_households, n_firms, invest_spread, labor_spread, seed=0):
     Requires ``n_households * spread`` to be a multiple of ``n_firms`` on
     both sides.  Identical inputs reproduce the identical network.
     """
+    if min(n_households, n_firms) < 1 or seed < 0:
+        raise NetworkBuildError(f"need at least 1 household and 1 firm and a seed >= 0,"
+                                f" got {n_households}, {n_firms} and {seed}")
     for name, spread in (("invest", invest_spread), ("labor", labor_spread)):
         if not 1 <= spread <= n_firms:
             raise NetworkBuildError(f"{name} spread must lie in [1, {n_firms}], got {spread}")

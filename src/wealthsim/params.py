@@ -22,25 +22,22 @@ __all__ = [
 ]
 
 
-def validate_params(params=None, **values) -> list[str]:
-    """Check scalar parameters against their admissible ranges.
+def validate_params(params: EconomyParams) -> list[str]:
+    """Check an ``EconomyParams``' fields against their admissible ranges.
 
-    Accepts either an ``EconomyParams`` instance or the individual fields
-    as keywords.  Returns a list of human-readable violations; an empty
-    list means the parameters are valid.
+    Returns a list of human-readable violations; an empty list means the
+    parameters are valid.
     """
-    if params is not None:
-        values = {f.name: getattr(params, f.name) for f in fields(params)}
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
     problems = []
 
     def bad(name, reason):
         problems.append(f"{name}={values[name]!r} {reason}")
 
     for name in ("s", "tau_k", "tau_l", "chi", "nu", "a", "delta"):
-        v = values.get(name)
+        v = values[name]
         if v is None or not math.isfinite(v):
             problems.append(f"{name} missing or not finite")
-            values[name] = float("nan")
     if problems:
         return problems
     if not 0.0 < values["s"] <= 1.0:

@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NetworkBuildError
 from .network import AllocationNetwork, build_regular, load_network
-from .params import CES, CobbDouglas, EconomyParams, ProductionFunction, validate_params
+from .params import CES, CobbDouglas, EconomyParams, ProductionFunction
 from .simulate import SimulationConfig
 
 __all__ = ["RunConfig", "Scenario", "load_config", "config_from_dict", "SCENARIOS", "SWEEPABLE"]
@@ -201,10 +201,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {section: dict(keys) for section, keys in self.raw.items()}
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        """Copy of this config with the simulation seed replaced."""
-        return self.with_raw("simulation", seed=str(int(seed)))
-
     def with_raw(self, section: str, **values: str) -> "RunConfig":
         """Copy of this config with keys of one section replaced.
 
@@ -227,10 +223,10 @@ def _parse_economy(raw) -> EconomyParams:
         "a": _float("economy", "a", raw, 1.0),
         "delta": _float("economy", "delta", raw, 1.0),
     }
-    problems = validate_params(**values)
-    if problems:
-        raise ConfigError("invalid [economy] values: " + "; ".join(problems))
-    return EconomyParams(**values)
+    try:
+        return EconomyParams(**values)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_production(raw) -> ProductionFunction:

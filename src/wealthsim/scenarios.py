@@ -159,9 +159,8 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         "metrics": metrics,
         "hill": None,
         "ks_distance": ks_distance(ordered, target.cdf) if measured else None,
+        "counters": panel.counters,
     }
-    if panel.counters:
-        summary["counters"] = panel.counters
     if isinstance(target, GaussianDensity):
         metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
                        sample_skewness=summary["moments"]["skewness"])

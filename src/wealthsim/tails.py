@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTailError,
-    InsufficientDataError,
-    NonPositiveThresholdError,
-)
+from .errors import DegenerateTailError, InsufficientDataError
 
 __all__ = [
     "TailEstimate",
@@ -83,9 +79,6 @@ def hill(sample, n_tail: int | None = None) -> TailEstimate:
             f"tail size must lie in [2, {n - 1}], got {n_tail}")
     top = x[n - n_tail:]
     threshold = x[n - n_tail - 1]
-    if threshold <= 0.0:
-        raise NonPositiveThresholdError(
-            f"order statistic at the cutoff is {threshold}; tail is not positive")
     mean_log = float(np.mean(np.log(top) - math.log(threshold)))
     if mean_log <= 0.0:
         raise DegenerateTailError("all tail values equal the threshold")
@@ -152,11 +145,14 @@ def moments(sample) -> dict:
     }
 
 
-def ccdf_loglog(sample, n_points: int = 200):
+_CCDF_ROWS = 200  # most rows of a thinned ccdf table
+
+
+def ccdf_loglog(sample):
     """Log-log table of the empirical complementary cdf.
 
     Positive values only.  Returns ``(log_x, log_ccdf)`` thinned to at
-    most ``n_points`` rows, suitable for eyeballing tail straightness
+    most 200 rows (``_CCDF_ROWS``), suitable for eyeballing tail straightness
     or fitting a slope.
     """
     x = _positive(_sorted(sample))
@@ -165,15 +161,15 @@ def ccdf_loglog(sample, n_points: int = 200):
         raise InsufficientDataError(f"need at least 2 positive values, got {n}")
     # rank from above: ccdf at x_(i) is (n - i) / n, drop the final zero;
     # the rows are picked before the logs are taken
-    if n - 1 > n_points:
-        idx = np.unique(np.linspace(0, n - 2, n_points).round().astype(int))
+    if n - 1 > _CCDF_ROWS:
+        idx = np.unique(np.linspace(0, n - 2, _CCDF_ROWS).round().astype(int))
     else:
         idx = np.arange(n - 1)
     return np.log(x[idx]), np.log((n - 1 - idx) / n)
 
 
-def write_ccdf_table(sample, path, n_points: int = 200):
-    log_x, log_ccdf = ccdf_loglog(sample, n_points)
+def write_ccdf_table(sample, path):
+    log_x, log_ccdf = ccdf_loglog(sample)
     with open(path, "w") as fh:
         fh.write("log_x,log_ccdf\n")
         for a, b in zip(log_x, log_ccdf):

@@ -286,18 +286,32 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_corrupt_network_file_exits_1(tmp_path, capsys):
+    # a sweep fails as a whole, not with one error row per grid value
     net = tmp_path / "net.txt"
     cfg = _write(tmp_path, SMALL_RUN.replace(
         "n_households = 100\n    n_firms = 100\n    invest_spread = 2\n"
-        "    labor_spread = 10\n    seed = 7\n", f"file = {net}\n"))
+        "    labor_spread = 10\n    seed = 7\n", f"file = {net}\n")
+        + "\n    [sweep]\n    parameter = nu\n    values = 0.04 0.05\n")
     for text in ("1 2 1 1\n0 0 nan\n0 1 1.0\n",     # non-finite weight
                  "1 2 1 1\n0 1.0 1.0\n0 1 1.0\n",   # non-integral index
                  "1 2 1 1\n# invest\n0 0 1.0\n0 1 1.0\n",
-                 "1 2 2 1\n0 0 0.5\n0 0 0.5\n0 1 1.0\n"):  # repeated triplet
+                 "1 2 2 1\n0 0 0.5\n0 0 0.5\n0 1 1.0\n",  # repeated triplet
+                 "1 2 1 1\n0 0 1.0\n0 1 0.5\n"):  # labor row sums to 0.5
         net.write_text(text)
-        for command in (["regime"], ["validate"], ["simulate", "--out", str(tmp_path / "o")]):
+        for command in (["regime"], ["validate"], ["sweep"],
+                        ["simulate", "--out", str(tmp_path / "o")]):
             assert main([command[0], "--config", cfg] + command[1:]) == 1, (text, command)
     assert "NetworkBuildError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("n_households", -2000),
+                                        ("n_households", 0)])
+def test_unbuildable_network_keys_exit_1(tmp_path, key, value, capsys):
+    line = {"seed": "seed = 7", "n_households": "n_households = 100"}[key]
+    cfg = _write(tmp_path, SMALL_RUN.replace(line, f"{key} = {value}"))
+    assert main(["regime", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: NetworkBuildError: ")
 
 
 def test_pinned_scenarios_check_a_network_file(tmp_path, capsys):

@@ -96,7 +96,6 @@ def test_economy_params_validation():
     for field, value in [("s", 0.0), ("s", 1.5), ("tau_k", 1.0), ("tau_k", -0.1),
                          ("tau_l", 1.0), ("chi", -1.0), ("nu", 0.0),
                          ("a", 0.0), ("delta", -1.0)]:
-        assert validate_params(**{**dataclasses.asdict(good), field: value})
         with pytest.raises(DomainError):
             dataclasses.replace(good, **{field: value})
 

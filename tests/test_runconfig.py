@@ -320,7 +320,7 @@ def test_relative_growth_rejects_initial(tmp_path):
 
 def test_with_seed_round_trips(tmp_path):
     cfg = _load(tmp_path, MINIMAL + "\n[simulation]\ndt = 0.5\nt_end = 10\nseed = 3\n")
-    bumped = cfg.with_seed(99)
+    bumped = cfg.with_raw("simulation", seed="99")
     assert bumped.simulation.seed == 99
     assert bumped.simulation.dt == 0.5
     assert cfg.simulation.seed == 3

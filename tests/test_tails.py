@@ -137,8 +137,8 @@ def test_ccdf_loglog_by_hand():
 def test_ccdf_loglog_thinning():
     gen = np.random.default_rng(11)
     x = gen.uniform(1.0, 2.0, size=5000)
-    log_x, log_ccdf = ccdf_loglog(x, n_points=100)
-    assert log_x.size <= 100
+    log_x, log_ccdf = ccdf_loglog(x)
+    assert log_x.size == 200
     assert np.all(np.diff(log_x) > 0)
     assert np.all(np.diff(log_ccdf) < 0)
 
@@ -147,11 +147,11 @@ def test_ccdf_table_file(tmp_path):
     gen = np.random.default_rng(12)
     x = (1.0 - gen.uniform(size=3000)) ** (-1.0 / 2.5)
     path = tmp_path / "ccdf.csv"
-    write_ccdf_table(x, path, n_points=50)
+    write_ccdf_table(x, path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "log_x,log_ccdf"
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert data.shape[0] <= 50 and np.all(np.isfinite(data))
+    assert data.shape[0] == 200 and np.all(np.isfinite(data))
     # tail straightness: least-squares slope near -alpha on the top decade
     top = data[data[:, 0] > np.quantile(data[:, 0], 0.5)]
     slope = np.polyfit(top[:, 0], top[:, 1], 1)[0]
