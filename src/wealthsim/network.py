@@ -100,7 +100,7 @@ class AllocationNetwork:
         """Invest rows over labor rows as one (2N, F) CSR, built on first use.
 
         One product with a firm shock gives both channels' firm flows.
-        The stepping kernel uses it only when neither side is in
+        The flows of absolute runs use it only when neither side is in
         ``full_sides``, so a full side never enters a product.
         """
         return sp.vstack([self.invest, self.labor], format="csr")

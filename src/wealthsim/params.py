@@ -97,22 +97,10 @@ class ProductionFunction:
     Subclasses implement ``value`` (output per worker), ``derivative``
     (marginal product of capital) and ``derivative_limit`` (the slope as
     the ratio grows without bound, which decides whether the economy can
-    sustain growth).  ``value`` and ``derivative`` take one ratio and
-    return one float.
+    sustain growth) and ``value_at_zero`` (the continuous extension of
+    ``value`` at ratio -> 0+).  ``value`` and ``derivative`` take one
+    ratio and return one float.
     """
-
-    def value(self, ratio):
-        raise NotImplementedError
-
-    def derivative(self, ratio):
-        raise NotImplementedError
-
-    def derivative_limit(self) -> float:
-        raise NotImplementedError
-
-    def value_at_zero(self) -> float:
-        """Continuous extension of ``value`` at ratio -> 0+."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

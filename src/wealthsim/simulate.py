@@ -15,7 +15,12 @@ each stream rather than rebuilt, with the same draws.
 Each step splits into a state-free part, a pure function of (seed, n):
 the draws and what follows from them alone, and the state update.  On
 long runs forked worker processes make the state-free part in blocks of
-steps ahead of the update, which stays in the calling process.
+steps ahead of the update, which stays in the calling process.  For an
+absolute run that part is a block's firm draws, their firm flows and
+the labor totals, rows of 2N + 1 values when both sides are sparse, so
+the update only prices the flows and moves wealth.  Whether a run forks
+depends on the normals it draws, not on the width of its rows, and a
+block fills one slot of fixed size whatever that width.
 """
 
 from __future__ import annotations
@@ -199,42 +204,42 @@ def _firm_flows(net, shocks, labor):
     return flow("invest"), flow("labor") if labor else None
 
 
-def _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic):
-    """One-step wealth change given realized firm shocks.
+def _firm_shock_increment(p, params, state, cap, lab, lab_total, dt):
+    """One-step wealth change given the firm flows of realized shocks.
 
     Factor payments scale with the realized shock of each firm a
     household is exposed to; taxes apply to realized incomes and the
     proceeds return as an equal per-household transfer.  ``state`` holds
-    the prices cleared at the current mean wealth.  ``shocks`` is one
-    draw ``(F,)`` or a block ``(K, F)`` of draws at the same state; the
-    result is ``(N,)`` or ``(K, N)``.
+    the prices cleared at the current mean wealth.  ``cap`` and ``lab``
+    are the invest and labor flows ``(N,)`` of one draw or ``(K, N)`` of
+    a block of draws at the same state, and ``lab_total`` their labor
+    flows summed over households; ``lab=None`` pays wages at the mean
+    firm flow ``a * dt``.  The result has the shape of ``cap``.
     """
-    n = net.n_households
+    n = p.shape[-1]
     # the shocks carry the productivity a, so prices enter per unit of a
     gslope, wage_unit = state.capital_return / params.a, state.wage / params.a
-    cap_flow, lab_flow = _firm_flows(net, shocks, not labor_deterministic)
-    if labor_deterministic:
-        lab_flow = params.a * dt
-        lab_total = n * lab_flow
-    else:
-        lab_total = lab_flow.sum(axis=-1)
+    if lab is None:
+        lab = params.a * dt
+        lab_total = n * lab
     # taxed capital income sums to p @ (invest @ shocks), taxed wages to
     # the labor-weighted firm shocks; the pool is shared equally
-    pool = params.tau_k * gslope * (cap_flow @ p) + params.tau_l * wage_unit * lab_total
-    # s * ((1-tau_k)*gslope*p*cap + (1-tau_l)*wage_unit*lab + pool/n) - (chi + nu*p)*dt
-    # in one buffer and one scratch, operation by operation in the order
-    # that expression rounds in, so same-seed panels stay bit-identical
-    out = np.multiply(p, (1.0 - params.tau_k) * gslope, out=np.empty(cap_flow.shape))
-    out *= cap_flow
-    scratch = np.multiply(lab_flow, (1.0 - params.tau_l) * wage_unit, out=np.empty_like(out))
-    out += scratch
-    out += (pool / n)[..., None]
-    out *= params.s
-    np.multiply(p, params.nu, out=scratch)
-    scratch += params.chi
-    scratch *= dt
-    out -= scratch
+    pool = params.tau_k * gslope * (cap @ p) + params.tau_l * wage_unit * lab_total
+    # s*((1-tau_k)*gslope*p*cap + (1-tau_l)*wage_unit*lab + pool/n) - (chi + nu*p)*dt,
+    # regrouped as p*(c1*cap - nu*dt) + c2*lab + (s*pool/n - chi*dt)
+    out = cap * (params.s * (1.0 - params.tau_k) * gslope)
+    out -= params.nu * dt
+    out *= p
+    out += lab * (params.s * (1.0 - params.tau_l) * wage_unit)
+    out += (params.s / n * pool - params.chi * dt)[..., None]
     return out
+
+
+def _increment_of_shocks(p, params, net, state, shocks, dt, labor_deterministic):
+    """``_firm_shock_increment`` of firm shocks ``(F,)`` or ``(K, F)``."""
+    cap, lab = _firm_flows(net, shocks, not labor_deterministic)
+    return _firm_shock_increment(p, params, state, cap, lab,
+                                 None if lab is None else lab.sum(axis=-1), dt)
 
 
 def _frozen_state(params, net, pf, wealth):
@@ -258,7 +263,7 @@ def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
     p, prices = _frozen_state(params, net, pf, state)
     shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
         else np.asarray(shocks, dtype=float)
-    return p + _firm_shock_increment(p, params, net, prices, shocks, dt, labor_deterministic)
+    return p + _increment_of_shocks(p, params, net, prices, shocks, dt, labor_deterministic)
 
 
 def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -319,7 +324,7 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
         for lo in range(start, stop, rows):
             k = min(rows, stop - lo)
             shocks = sample_firm_shocks((k, f), params, dt, rng)
-            inc = _firm_shock_increment(p, params, net, state, shocks, dt, labor_deterministic)
+            inc = _increment_of_shocks(p, params, net, state, shocks, dt, labor_deterministic)
             # merge the sub-block's mean and centred co-moment into those
             # of the lo samples before it
             block_mean = inc.mean(axis=0)
@@ -353,18 +358,19 @@ def _usable_cores() -> int:
         return cores
 
 
-def _noise(steps, width, make, threads):
+def _noise(steps, normals, width, make, threads):
     """Plan the noise of steps ``1..steps``: (workers, rows).
 
-    ``make(step)`` returns the step's ``width`` normals or what follows
-    from them alone.  ``rows`` yields ``make``'s arrays, or copies of
-    them, step by step, each valid until the next is asked for; close it
-    when done.  A run that draws at least ``FORK_MIN_DRAWS`` normals
-    (``steps * width``) forks ``min(threads, _usable_cores())`` workers
-    (``threads`` None: ``DEFAULT_THREADS``), at most one per block of
+    ``make(lo, hi, rows)`` fills ``rows[k]`` with the ``width`` values of
+    step ``lo + k`` for the steps ``lo..hi-1``, made from that step's
+    ``normals`` normals alone.  ``rows`` yields one row per step, each
+    valid until the next is asked for; close it when done.  A run that
+    draws at least ``FORK_MIN_DRAWS`` normals (``steps * normals``) forks
+    ``min(threads, _usable_cores())`` workers (``threads`` None:
+    ``DEFAULT_THREADS``), at most one per block of steps whose rows fill
     about ``_SLOT_BYTES``.  One worker would gain nothing, so then, and
-    below the threshold, ``workers`` is 0 and each step is made inline
-    just before its update.
+    below the threshold, ``workers`` is 0 and each step is made inline,
+    one at a time, just before its update.
     """
     if threads is None:
         threads = DEFAULT_THREADS
@@ -372,10 +378,17 @@ def _noise(steps, width, make, threads):
         raise ConfigError(f"thread count must be positive, got {threads}")
     size = max(1, _SLOT_BYTES // (8 * width))
     workers = min(threads, _usable_cores(), -(-steps // size))
-    if workers < 2 or steps * width < FORK_MIN_DRAWS or not hasattr(os, "fork"):
-        return 0, (make(step) for step in range(1, steps + 1))
+    if workers < 2 or steps * normals < FORK_MIN_DRAWS or not hasattr(os, "fork"):
+        return 0, _inline_rows(steps, width, make)
     blocks = [(lo, min(lo + size, steps + 1)) for lo in range(1, steps + 1, size)]
     return workers, _forked_rows(blocks, size, width, make, workers)
+
+
+def _inline_rows(steps, width, make):
+    row = np.empty((1, width))
+    for step in range(1, steps + 1):
+        make(step, step + 1, row)
+        yield row[0]
 
 
 def _forked_rows(blocks, size, width, make, workers):
@@ -420,17 +433,16 @@ def _forked_rows(blocks, size, width, make, workers):
 
 
 def _noise_worker(blocks, slots, make, free_r, ready_w):
-    """Body of a forked noise worker: make ``blocks`` of steps in turn into
-    the two ``slots``, each once the parent sends a token that it is
-    free, and exit; end of file on the token pipe means the parent is
-    gone."""
+    """Body of a forked noise worker: make ``blocks`` of steps in turn
+    straight into the two ``slots``, each once the parent sends a token
+    that it is free, and exit; end of file on the token pipe means the
+    parent is gone."""
     code = 1
     try:
         for j, (lo, hi) in enumerate(blocks):
             if not os.read(free_r, 1):
                 break
-            for k, step in enumerate(range(lo, hi)):
-                slots[j % 2, k] = make(step)
+            make(lo, hi, slots[j % 2, :hi - lo])
             os.write(ready_w, b"\0")
         code = 0
     except Exception:
@@ -439,21 +451,21 @@ def _noise_worker(blocks, slots, make, free_r, ready_w):
         os._exit(code)
 
 
-def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
+def _record(config: SimulationConfig, state: np.ndarray, advance, make, normals, width,
             threads) -> WealthPanel:
-    """Step ``state`` through ``advance(state, step, mean, rows)`` and keep
+    """Step ``state`` through ``advance(state, step, mean, row)`` and keep
     the snapshots.
 
-    ``rows`` is the step's noise: ``make(step)``, ``width`` values wide,
-    planned by ``_noise`` for ``threads`` workers.  ``mean`` is the mean
-    of the state handed in, the one reduction per step.  It doubles as
-    the finiteness check: a finite mean means every entry is finite, so
-    only a non-finite mean costs a scan, and a state with a non-finite
-    entry raises NonFiniteError carrying the step index.  The state is
-    recorded at t=0 when there is no burn-in, then every
-    ``record_every`` from ``burn_in`` on, straight into the panel's one
-    preallocated array.  Returns the panel, counting the steps and the
-    noise workers.
+    ``row`` is the step's noise, ``width`` values that ``make`` fills
+    from ``normals`` normals, planned by ``_noise`` for ``threads``
+    workers.  ``mean`` is the mean of the state handed in, the one
+    reduction per step.  It doubles as the finiteness check: a finite
+    mean means every entry is finite, so only a non-finite mean costs a
+    scan, and a state with a non-finite entry raises NonFiniteError
+    carrying the step index.  The state is recorded at t=0 when there is
+    no burn-in, then every ``record_every`` from ``burn_in`` on, straight
+    into the panel's one preallocated array.  Returns the panel,
+    counting the steps and the noise workers.
     """
     steps_total, burn_steps, rec_steps = config.step_counts()
     # the steps burn_steps, burn_steps + rec_steps, ... up to steps_total,
@@ -462,7 +474,7 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
     snaps = np.empty((recorded.size, state.size))
     if burn_steps == 0:
         snaps[0] = state
-    workers, noise = _noise(steps_total, width, make, threads)
+    workers, noise = _noise(steps_total, normals, width, make, threads)
     try:
         # sum / size is exactly what ndarray.mean computes, without its overhead
         mean = state.sum() / state.size
@@ -479,6 +491,46 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, width,
                        counters={"steps": steps_total, "noise_workers": workers})
 
 
+def _flow_maker(params, net, dt, seed, labor):
+    """``make`` and row width of an absolute run's noise (see ``_noise``).
+
+    A step's row is its invest flows and, with ``labor``, its labor flows
+    and their total: ``[invest | labor | labor total]``, 2N + 1 wide, or
+    N wide with deterministic labor.  Each step is drawn from its own
+    stream; the sparse sides of a block of K steps take one product with
+    an (F, K) buffer of its draws, made once per process and reused, and
+    a full side takes the firm mean of each draw (see ``_firm_flows``).
+    A row depends only on its step, not on the block it is made in.
+    """
+    n, f = net.n_households, net.n_firms
+    sides = ("invest", "labor") if labor else ("invest",)
+    sparse = [side for side in sides if side not in net.full_sides]
+    matrix = net.flow_rows if len(sparse) == 2 else getattr(net, sparse[0]) if sparse else None
+    first = n * sides.index(sparse[0]) if sparse else 0
+    full = [n * sides.index(side) for side in sides if side in net.full_sides]
+    draws = np.empty(0)
+
+    def make(lo, hi, rows):
+        nonlocal draws
+        k = hi - lo
+        if draws.size < f * k:
+            draws = np.empty(f * k)
+        block = draws[:f * k].reshape(f, k)
+        for j, step in enumerate(range(lo, hi)):
+            shocks = sample_firm_shocks(f, params, dt, _stream(seed, step))
+            block[:, j] = shocks
+            for col in full:
+                rows[j, col:col + n] = shocks.mean()
+        if sparse:
+            # one step takes the plain matrix-vector product
+            rows[:, first:first + len(sparse) * n] = \
+                (matrix @ (block if k > 1 else block[:, 0])).T
+        if labor:
+            rows[:, 2 * n] = rows[:, n:2 * n].sum(axis=1)
+
+    return make, 2 * n + 1 if labor else n
+
+
 def run_absolute(config: SimulationConfig, params: EconomyParams,
                  net: AllocationNetwork, pf: ProductionFunction,
                  initial, threads: int | None = None,
@@ -491,9 +543,9 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     finite; both errors carry the offending step index.  The stability
     guard ``s*(1-tau_k)*return*dt < 0.1`` is enforced at t=0; its
     largest value over the run is kept in ``counters["dt_guard_max"]``.
-    The firm draws are made ahead of the update, by up to ``threads``
-    forked workers on long runs (see ``_noise``); the panel does not
-    depend on how many.
+    The firm draws and their flows are made ahead of the update, by up
+    to ``threads`` forked workers on long runs (see ``_noise``); the
+    panel does not depend on how many.
     """
     p, prices = _frozen_state(params, net, pf, np.array(initial, dtype=float))
     saved = params.s * (1.0 - params.tau_k)
@@ -501,24 +553,25 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     if dt_guard_max >= 0.1:
         raise ConfigError(
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
-    f = net.n_firms
+    n = net.n_households
+    make, width = _flow_maker(params, net, config.dt, config.seed, not labor_deterministic)
 
-    def make(step):
-        return sample_firm_shocks(f, params, config.dt, _stream(config.seed, step))
-
-    def advance(p, step, lam, shocks):
+    def advance(p, step, lam, row):
         nonlocal dt_guard_max
         if not lam > 0.0:
             raise PriceUndefinedError(
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         state = clear(params, pf, lam)
         dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
-        inc = _firm_shock_increment(p, params, net, state, shocks, config.dt,
-                                    labor_deterministic)
+        if labor_deterministic:
+            inc = _firm_shock_increment(p, params, state, row, None, None, config.dt)
+        else:
+            inc = _firm_shock_increment(p, params, state, row[:n], row[n:2 * n], row[2 * n],
+                                        config.dt)
         inc += p
         return inc
 
-    panel = _record(config, p, advance, make, f, threads)
+    panel = _record(config, p, advance, make, net.n_firms, width, threads)
     panel.counters["dt_guard_max"] = dt_guard_max
     return panel
 
@@ -556,13 +609,17 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     sq = math.sqrt(config.dt)
     n = u.shape[0]
 
-    def make(step):
+    def step_factor(step):
         # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
         x = _stream(config.seed, step).standard_normal(n)
         x *= sq
         x *= sigma
         x -= 0.5 * sigma * sigma * config.dt
         return np.exp(x, out=x)
+
+    def make(lo, hi, rows):
+        for k, step in enumerate(range(lo, hi)):
+            rows[k] = step_factor(step)
 
     def advance(u, step, _mean, factor):
         # 1 + ((1 + (u-1)*decay) * factor - 1) * decay, one operation at a time
@@ -575,7 +632,7 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
         v += 1.0
         return v
 
-    return _record(config, u, advance, make, n, threads)
+    return _record(config, u, advance, make, n, n, threads)
 
 
 def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,

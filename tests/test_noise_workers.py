@@ -115,6 +115,55 @@ def test_run_steps_as_step_absolute_does(always_fork, spreads, labor_determinist
         np.testing.assert_allclose(panels[2].snapshots[step], p, rtol=1e-13, atol=0.0)
 
 
+def _rows_in_blocks(make, width, steps, size):
+    rows = np.empty((steps, width))
+    for lo in range(1, steps + 1, size):
+        hi = min(lo + size, steps + 1)
+        make(lo, hi, rows[lo - 1:hi - 1])
+    return rows
+
+
+@pytest.mark.parametrize("name", ["incomplete_markets", "labor_only", "complete_markets",
+                                  "staggered_wages"],
+                         ids=["both_sparse", "full_invest", "both_full", "fixed_labor"])
+def test_flow_rows_do_not_depend_on_block_size(name):
+    # a worker makes a slot's worth of steps at once, the inline path one;
+    # the rows, and so the panel, must not depend on which
+    cfg = load_config(CONFIG_DIR / f"{name}.ini")
+    net = cfg.build_network()
+    fixed = cfg.scenario.fixed_wages
+    assert fixed == (name == "staggered_wages")
+    assert net.full_sides == {"labor_only": {"invest"},
+                              "complete_markets": {"invest", "labor"}}.get(name, frozenset())
+    sim = cfg.simulation
+    make, width = simulate._flow_maker(cfg.economy, net, sim.dt, sim.seed, not fixed)
+    assert width == (net.n_households if fixed else 2 * net.n_households + 1)
+    one = _rows_in_blocks(make, width, 40, 1)
+    for size in (7, 24, 40):
+        np.testing.assert_array_equal(_rows_in_blocks(make, width, 40, size), one)
+    fresh, _ = simulate._flow_maker(cfg.economy, net, sim.dt, sim.seed, not fixed)
+    np.testing.assert_array_equal(_rows_in_blocks(fresh, width, 40, 24), one)
+
+
+def test_fork_rule_counts_normals_not_row_width(monkeypatch):
+    # rows of 2N + 1 = 49 values from F = 12 normals: the threshold is
+    # crossed by steps * F, whatever the width of the rows
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(simulate, "_SLOT_BYTES", 256)
+    monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", 1000)
+    params, net, pf = _flow_setup(2, 3)
+    assert 2 * net.n_households + 1 > net.n_firms == 12
+
+    def workers(steps):
+        cfg = SimulationConfig(dt=0.5, t_end=0.5 * steps, record_every=0.5, seed=3)
+        panel = run_absolute(cfg, params, net, pf, np.full(24, P_BAR_STAR))
+        _assert_no_children()
+        return panel.counters["noise_workers"]
+
+    assert workers(83) == 0   # 996 normals
+    assert workers(84) == 2   # 1008 normals
+
+
 def test_price_error_reaps_every_worker(always_fork):
     params, net, pf = _flow_setup(2, 3)
     cfg = SimulationConfig(dt=0.5, t_end=200.0, record_every=1.0)
@@ -179,7 +228,7 @@ def test_fork_rule(monkeypatch):
     monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", 1000)
 
     def workers(threads, steps=1000):
-        count, rows = _noise(steps, 100, None, threads)
+        count, rows = _noise(steps, 100, 100, None, threads)
         rows.close()
         return count
 

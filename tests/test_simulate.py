@@ -34,7 +34,7 @@ from wealthsim.errors import (
 from wealthsim.simulate import (
     WealthPanel,
     _firm_flows,
-    _firm_shock_increment,
+    _increment_of_shocks,
     _stream,
     analytic_noise_covariance,
     empirical_noise_covariance,
@@ -204,10 +204,10 @@ def test_increment_shortcuts_match_general_path():
             np.testing.assert_allclose(cap_only, cap, rtol=1e-12, atol=0.0)
             assert none is None
         for labor_deterministic in (False, True):
-            batched = _firm_shock_increment(wealth, params, net, state,
-                                            block, dt, labor_deterministic)
-            single = [_firm_shock_increment(wealth, params, net, state,
-                                            row, dt, labor_deterministic) for row in block]
+            batched = _increment_of_shocks(wealth, params, net, state,
+                                           block, dt, labor_deterministic)
+            single = [_increment_of_shocks(wealth, params, net, state,
+                                           row, dt, labor_deterministic) for row in block]
             assert batched.shape == (k, n)
             np.testing.assert_allclose(batched, np.array(single), rtol=1e-12, atol=0.0)
 
@@ -260,7 +260,7 @@ def test_streamed_covariance_equals_one_block_covariance():
     assert simulate._COV_BYTES // (8 * (f + n)) < chunk // 4
     state = clear(params, pf, wealth.mean())
     for labor_deterministic in (False, True):
-        blocks = [_firm_shock_increment(
+        blocks = [_increment_of_shocks(
             wealth, params, net, state,
             sample_firm_shocks((min(chunk, n_samples - start), f), params, dt,
                                _stream(seed, b)),
@@ -305,8 +305,8 @@ def _kernel_jacobian(params, net, pf, wealth, labor_deterministic):
     f = net.n_firms
 
     def push(shocks):
-        return _firm_shock_increment(wealth, params, net, state, shocks, 1.0,
-                                     labor_deterministic)
+        return _increment_of_shocks(wealth, params, net, state, shocks, 1.0,
+                                    labor_deterministic)
 
     return (push(np.eye(f)) - push(np.zeros((f, f)))).T
 
@@ -383,7 +383,7 @@ def test_recorded_steps_follow_the_recording_rule(dt, t_end, burn_in, record_eve
 
     # each step adds one, so a snapshot holds the index of its step
     panel = simulate._record(cfg, np.zeros(3), lambda state, step, mean, rows: state + 1.0,
-                             lambda step: np.zeros(1), 1, 1)
+                             lambda lo, hi, rows: None, 1, 1, 1)
     np.testing.assert_array_equal(panel.times, times)
     np.testing.assert_array_equal(panel.snapshots, np.repeat(np.array(steps, float)[:, None],
                                                              3, axis=1))
