@@ -99,9 +99,9 @@ class AllocationNetwork:
     def flow_rows(self) -> sp.csr_matrix:
         """Invest rows over labor rows as one (2N, F) CSR, built on first use.
 
-        One product with a firm shock gives both channels' firm flows.
-        The flows of absolute runs use it only when neither side is in
-        ``full_sides``, so a full side never enters a product.
+        One product with a block of firm draws gives both channels' firm
+        flows.  ``simulate._flow_rows``, which writes every firm flow, uses
+        it only when neither side is in ``full_sides``.
         """
         return sp.vstack([self.invest, self.labor], format="csr")
 

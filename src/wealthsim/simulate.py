@@ -16,9 +16,10 @@ Each step splits into a state-free part, a pure function of (seed, n):
 the draws and what follows from them alone, and the state update.  On
 long runs forked worker processes make the state-free part in blocks of
 steps ahead of the update, which stays in the calling process.  For an
-absolute run that part is a block's firm draws, their firm flows and
-the labor totals, rows of 2N + 1 values when both sides are sparse, so
-the update only prices the flows and moves wealth.  Whether a run forks
+absolute run that part is the flow rows of a block's firm draws, which
+one routine writes for every caller: invest flows, labor flows and
+their total, or invest flows alone under deterministic labor.  The
+update only prices the flows and moves wealth.  Whether a run forks
 depends on the normals it draws, not on the width of its rows, and a
 block fills one slot of fixed size whatever that width.
 """
@@ -183,45 +184,54 @@ def sample_firm_shocks(n_firms: int | tuple[int, int], params: EconomyParams, dt
     return draws
 
 
-def _firm_flows(net, shocks, labor):
-    """``invest @ shock`` and, with ``labor``, ``labor @ shock`` per household
-    (else None), for a draw ``(F,)`` or a block ``(K, F)``.
+def _flow_rows(net, shocks, labor, rows):
+    """Write the firm flows of a block of draws ``shocks`` (K, F) into ``rows``.
 
-    On a side in the measured ``net.full_sides`` every row sees the firm
-    mean, which costs O(F) instead of O(N*F).  When both channels need a
-    sparse product they share one over the stacked rows ``net.flow_rows``.
+    Row k is draw k's invest flows ``invest @ shocks[k]`` and, with
+    ``labor``, its labor flows and their total over households:
+    ``[invest | labor | labor total]``, 2N + 1 wide, or N wide without
+    labor.  On a side in the measured ``net.full_sides`` every household
+    sees the firm mean, which costs O(F) instead of O(N*F); the sparse
+    sides take one product, over the stacked rows ``net.flow_rows`` when
+    both are sparse, or the plain matrix-vector product of a single
+    draw.  Row k depends only on draw k, not on the block it is in.
     """
-    n, full = net.n_households, net.full_sides
-    if labor and not full:
-        both = (net.flow_rows @ shocks.T).T
-        return both[..., :n], both[..., n:]
+    n = net.n_households
+    sides = ("invest", "labor") if labor else ("invest",)
+    sparse = [side for side in sides if side not in net.full_sides]
+    for i, side in enumerate(sides):
+        if side in net.full_sides:
+            rows[:, i * n:(i + 1) * n] = shocks.mean(axis=1)[:, None]
+    if sparse:
+        matrix = net.flow_rows if len(sparse) == 2 else getattr(net, sparse[0])
+        first = n * sides.index(sparse[0])
+        rows[:, first:first + len(sparse) * n] = \
+            (matrix @ (shocks.T if len(shocks) > 1 else shocks[0])).T
+    if labor:
+        rows[:, 2 * n] = rows[:, n:2 * n].sum(axis=1)
 
-    def flow(side):
-        if side in full:
-            return np.broadcast_to(shocks.mean(axis=-1)[..., None], shocks.shape[:-1] + (n,))
-        return (getattr(net, side) @ shocks.T).T
 
-    return flow("invest"), flow("labor") if labor else None
-
-
-def _firm_shock_increment(p, params, state, cap, lab, lab_total, dt):
+def _firm_shock_increment(p, params, state, rows, dt):
     """One-step wealth change given the firm flows of realized shocks.
 
     Factor payments scale with the realized shock of each firm a
     household is exposed to; taxes apply to realized incomes and the
     proceeds return as an equal per-household transfer.  ``state`` holds
-    the prices cleared at the current mean wealth.  ``cap`` and ``lab``
-    are the invest and labor flows ``(N,)`` of one draw or ``(K, N)`` of
-    a block of draws at the same state, and ``lab_total`` their labor
-    flows summed over households; ``lab=None`` pays wages at the mean
-    firm flow ``a * dt``.  The result has the shape of ``cap``.
+    the prices cleared at the current mean wealth.  ``rows`` are the
+    flow rows (see ``_flow_rows``) of one draw ``(W,)`` or of a block of
+    draws ``(K, W)`` at the same state; rows N wide pay wages at the mean
+    firm flow ``a * dt``.  The result is ``(N,)`` or ``(K, N)``.
     """
     n = p.shape[-1]
     # the shocks carry the productivity a, so prices enter per unit of a
     gslope, wage_unit = state.capital_return / params.a, state.wage / params.a
-    if lab is None:
-        lab = params.a * dt
+    if rows.shape[-1] == n:
+        cap, lab = rows, params.a * dt
         lab_total = n * lab
+    else:
+        # rows.T[2 * n] is a scalar for one draw, where rows[..., 2 * n]
+        # would be a 0-d array that costs a ufunc call per step
+        cap, lab, lab_total = rows[..., :n], rows[..., n:2 * n], rows.T[2 * n]
     # taxed capital income sums to p @ (invest @ shocks), taxed wages to
     # the labor-weighted firm shocks; the pool is shared equally
     pool = params.tau_k * gslope * (cap @ p) + params.tau_l * wage_unit * lab_total
@@ -233,13 +243,6 @@ def _firm_shock_increment(p, params, state, cap, lab, lab_total, dt):
     out += lab * (params.s * (1.0 - params.tau_l) * wage_unit)
     out += (params.s / n * pool - params.chi * dt)[..., None]
     return out
-
-
-def _increment_of_shocks(p, params, net, state, shocks, dt, labor_deterministic):
-    """``_firm_shock_increment`` of firm shocks ``(F,)`` or ``(K, F)``."""
-    cap, lab = _firm_flows(net, shocks, not labor_deterministic)
-    return _firm_shock_increment(p, params, state, cap, lab,
-                                 None if lab is None else lab.sum(axis=-1), dt)
 
 
 def _frozen_state(params, net, pf, wealth):
@@ -263,7 +266,10 @@ def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
     p, prices = _frozen_state(params, net, pf, state)
     shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
         else np.asarray(shocks, dtype=float)
-    return p + _increment_of_shocks(p, params, net, prices, shocks, dt, labor_deterministic)
+    n, labor = net.n_households, not labor_deterministic
+    rows = np.empty((1, 2 * n + 1 if labor else n))
+    _flow_rows(net, shocks[None], labor, rows)
+    return p + _firm_shock_increment(p, params, prices, rows[0], dt)
 
 
 def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -293,7 +299,7 @@ def analytic_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     return params.delta * params.s ** 2 * (load @ load.T)
 
 
-_COV_BYTES = 1 << 19  # shocks and increments per sub-block of the covariance probe
+_COV_BYTES = 1 << 19  # shocks and increments per covariance sub-block, besides its flow rows
 
 
 def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
@@ -314,17 +320,19 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
     if n_samples < 2:
         raise DomainError("need at least two samples for a covariance")
     p, state = _frozen_state(params, net, pf, wealth)
-    n, f = net.n_households, net.n_firms
+    n, f, labor = net.n_households, net.n_firms, not labor_deterministic
 
     chunk = max(1, (1 << 22) // max(f, 1))
     rows = max(1, _COV_BYTES // (8 * (f + n)))
+    flows = np.empty((rows, 2 * n + 1 if labor else n))
     mean, comoment = np.zeros(n), np.zeros((n, n))
     for block, start in enumerate(range(0, n_samples, chunk)):
         rng, stop = _stream(seed, block), min(start + chunk, n_samples)
         for lo in range(start, stop, rows):
             k = min(rows, stop - lo)
             shocks = sample_firm_shocks((k, f), params, dt, rng)
-            inc = _increment_of_shocks(p, params, net, state, shocks, dt, labor_deterministic)
+            _flow_rows(net, shocks, labor, flows[:k])
+            inc = _firm_shock_increment(p, params, state, flows[:k], dt)
             # merge the sub-block's mean and centred co-moment into those
             # of the lo samples before it
             block_mean = inc.mean(axis=0)
@@ -494,41 +502,23 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, normals,
 def _flow_maker(params, net, dt, seed, labor):
     """``make`` and row width of an absolute run's noise (see ``_noise``).
 
-    A step's row is its invest flows and, with ``labor``, its labor flows
-    and their total: ``[invest | labor | labor total]``, 2N + 1 wide, or
-    N wide with deterministic labor.  Each step is drawn from its own
-    stream; the sparse sides of a block of K steps take one product with
-    an (F, K) buffer of its draws, made once per process and reused, and
-    a full side takes the firm mean of each draw (see ``_firm_flows``).
-    A row depends only on its step, not on the block it is made in.
+    A step's row is the flow row (see ``_flow_rows``) of its own draw
+    from its own stream.  A block of K steps is drawn into a (K, F)
+    buffer, made once per process and reused, and its rows are written
+    in one call.
     """
-    n, f = net.n_households, net.n_firms
-    sides = ("invest", "labor") if labor else ("invest",)
-    sparse = [side for side in sides if side not in net.full_sides]
-    matrix = net.flow_rows if len(sparse) == 2 else getattr(net, sparse[0]) if sparse else None
-    first = n * sides.index(sparse[0]) if sparse else 0
-    full = [n * sides.index(side) for side in sides if side in net.full_sides]
-    draws = np.empty(0)
+    f = net.n_firms
+    draws = np.empty((0, f))
 
     def make(lo, hi, rows):
         nonlocal draws
-        k = hi - lo
-        if draws.size < f * k:
-            draws = np.empty(f * k)
-        block = draws[:f * k].reshape(f, k)
+        if len(draws) < hi - lo:
+            draws = np.empty((hi - lo, f))
         for j, step in enumerate(range(lo, hi)):
-            shocks = sample_firm_shocks(f, params, dt, _stream(seed, step))
-            block[:, j] = shocks
-            for col in full:
-                rows[j, col:col + n] = shocks.mean()
-        if sparse:
-            # one step takes the plain matrix-vector product
-            rows[:, first:first + len(sparse) * n] = \
-                (matrix @ (block if k > 1 else block[:, 0])).T
-        if labor:
-            rows[:, 2 * n] = rows[:, n:2 * n].sum(axis=1)
+            draws[j] = sample_firm_shocks(f, params, dt, _stream(seed, step))
+        _flow_rows(net, draws[:hi - lo], labor, rows)
 
-    return make, 2 * n + 1 if labor else n
+    return make, 2 * net.n_households + 1 if labor else net.n_households
 
 
 def run_absolute(config: SimulationConfig, params: EconomyParams,
@@ -553,7 +543,6 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
     if dt_guard_max >= 0.1:
         raise ConfigError(
             f"dt={config.dt} too coarse: s*(1-tau_k)*return*dt = {dt_guard_max:.3g} >= 0.1")
-    n = net.n_households
     make, width = _flow_maker(params, net, config.dt, config.seed, not labor_deterministic)
 
     def advance(p, step, lam, row):
@@ -563,11 +552,7 @@ def run_absolute(config: SimulationConfig, params: EconomyParams,
                 f"mean wealth {lam} became non-positive at step {step}", step=step)
         state = clear(params, pf, lam)
         dt_guard_max = max(dt_guard_max, saved * state.capital_return * config.dt)
-        if labor_deterministic:
-            inc = _firm_shock_increment(p, params, state, row, None, None, config.dt)
-        else:
-            inc = _firm_shock_increment(p, params, state, row[:n], row[n:2 * n], row[2 * n],
-                                        config.dt)
+        inc = _firm_shock_increment(p, params, state, row, config.dt)
         inc += p
         return inc
 
@@ -609,17 +594,13 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     sq = math.sqrt(config.dt)
     n = u.shape[0]
 
-    def step_factor(step):
-        # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
-        x = _stream(config.seed, step).standard_normal(n)
-        x *= sq
-        x *= sigma
-        x -= 0.5 * sigma * sigma * config.dt
-        return np.exp(x, out=x)
-
     def make(lo, hi, rows):
-        for k, step in enumerate(range(lo, hi)):
-            rows[k] = step_factor(step)
+        # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
+        for row, step in zip(rows, range(lo, hi)):
+            np.multiply(_stream(config.seed, step).standard_normal(n), sq, out=row)
+            row *= sigma
+            row -= 0.5 * sigma * sigma * config.dt
+            np.exp(row, out=row)
 
     def advance(u, step, _mean, factor):
         # 1 + ((1 + (u-1)*decay) * factor - 1) * decay, one operation at a time

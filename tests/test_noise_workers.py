@@ -96,7 +96,7 @@ def _flow_setup(invest_spread, labor_spread):
 @pytest.mark.parametrize("labor_deterministic", [False, True],
                          ids=["noisy_labor", "fixed_labor"])
 def test_run_steps_as_step_absolute_does(always_fork, spreads, labor_deterministic):
-    # every branch _firm_flows takes, on draws made inline and by workers,
+    # every branch _flow_rows takes, on draws made inline and by workers,
     # against the one-step kernel applied by hand with each step's stream
     params, net, pf = _flow_setup(*spreads)
     cfg = SimulationConfig(dt=0.5, t_end=20.0, record_every=0.5, seed=3)
@@ -112,7 +112,7 @@ def test_run_steps_as_step_absolute_does(always_fork, spreads, labor_determinist
     for step in range(1, 41):
         shocks = sample_firm_shocks(12, params, cfg.dt, _stream(cfg.seed, step))
         p = step_absolute(p, params, net, pf, shocks, cfg.dt, labor_deterministic)
-        np.testing.assert_allclose(panels[2].snapshots[step], p, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(panels[2].snapshots[step], p)
 
 
 def _rows_in_blocks(make, width, steps, size):

@@ -33,8 +33,8 @@ from wealthsim.errors import (
 )
 from wealthsim.simulate import (
     WealthPanel,
-    _firm_flows,
-    _increment_of_shocks,
+    _firm_shock_increment,
+    _flow_rows,
     _stream,
     analytic_noise_covariance,
     empirical_noise_covariance,
@@ -179,6 +179,14 @@ def test_step_rejects_bad_state():
         step_absolute([-2.0, 1.0, 0.0, 0.5], params, net, pf, None, 0.1)
 
 
+def _flows(net, shocks, labor):
+    """The flow rows of a block of draws (K, F)."""
+    n = net.n_households
+    rows = np.empty((len(shocks), 2 * n + 1 if labor else n))
+    _flow_rows(net, shocks, labor, rows)
+    return rows
+
+
 def test_increment_shortcuts_match_general_path():
     # a full side takes the firm-mean shortcut; it must give the sparse
     # products of the general path, formed here
@@ -196,18 +204,21 @@ def test_increment_shortcuts_match_general_path():
     block = sample_firm_shocks((k, f), params, dt, gen)
     state = clear(params, pf, wealth.mean())
     for net in (uniform, mixed, general):
-        for shocks in (block[0], block, np.full(f, params.a * dt)):
-            cap, lab = _firm_flows(net, shocks, True)
+        for shocks in (block[:1], block, np.full((1, f), params.a * dt)):
+            rows = _flows(net, shocks, True)
+            cap, lab = rows[:, :n], rows[:, n:2 * n]
             np.testing.assert_allclose(cap, (net.invest @ shocks.T).T, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(lab, (net.labor @ shocks.T).T, rtol=1e-12, atol=0.0)
-            cap_only, none = _firm_flows(net, shocks, False)
+            cap_only = _flows(net, shocks, False)
             np.testing.assert_allclose(cap_only, cap, rtol=1e-12, atol=0.0)
-            assert none is None
+            assert cap_only.shape == (len(shocks), n)
         for labor_deterministic in (False, True):
-            batched = _increment_of_shocks(wealth, params, net, state,
-                                           block, dt, labor_deterministic)
-            single = [_increment_of_shocks(wealth, params, net, state,
-                                           row, dt, labor_deterministic) for row in block]
+            labor = not labor_deterministic
+            batched = _firm_shock_increment(wealth, params, state,
+                                            _flows(net, block, labor), dt)
+            single = [_firm_shock_increment(wealth, params, state,
+                                            _flows(net, row[None], labor)[0], dt)
+                      for row in block]
             assert batched.shape == (k, n)
             np.testing.assert_allclose(batched, np.array(single), rtol=1e-12, atol=0.0)
 
@@ -260,11 +271,12 @@ def test_streamed_covariance_equals_one_block_covariance():
     assert simulate._COV_BYTES // (8 * (f + n)) < chunk // 4
     state = clear(params, pf, wealth.mean())
     for labor_deterministic in (False, True):
-        blocks = [_increment_of_shocks(
-            wealth, params, net, state,
-            sample_firm_shocks((min(chunk, n_samples - start), f), params, dt,
-                               _stream(seed, b)),
-            dt, labor_deterministic)
+        blocks = [_firm_shock_increment(
+            wealth, params, state,
+            _flows(net, sample_firm_shocks((min(chunk, n_samples - start), f), params, dt,
+                                           _stream(seed, b)),
+                   not labor_deterministic),
+            dt)
             for b, start in enumerate(range(0, n_samples, chunk))]
         assert len(blocks) == 3
         one_block = np.cov(np.vstack(blocks), rowvar=False) / dt
@@ -305,8 +317,8 @@ def _kernel_jacobian(params, net, pf, wealth, labor_deterministic):
     f = net.n_firms
 
     def push(shocks):
-        return _increment_of_shocks(wealth, params, net, state, shocks, 1.0,
-                                    labor_deterministic)
+        return _firm_shock_increment(wealth, params, state,
+                                     _flows(net, shocks, not labor_deterministic), 1.0)
 
     return (push(np.eye(f)) - push(np.zeros((f, f)))).T
 
