@@ -127,10 +127,13 @@ def _closed_form(cfg: RunConfig, relative: bool | None = None):
 def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> dict:
     """Run the configured scenario and summarize it against theory.
 
-    Writes ``summary.json`` plus, in csv mode, the wealth panel and
-    plot-ready density and tail tables into ``out_dir`` when given.
-    ``threads`` caps the forked noise workers (None: the default of two);
-    the results do not depend on it.
+    Writes, into ``out_dir`` when given, the wealth panel (csv mode),
+    then ``summary.json`` and, in csv mode, plot-ready density and tail
+    tables.  The panel is consumed: once its moments and mean path are
+    taken and ``panel.csv`` is written, its own pooled buffer is sorted
+    in place for KS, Hill and ``ccdf.csv``.  ``threads`` caps the forked
+    noise workers (None: the default of two); the results do not depend
+    on it.
     """
     if cfg.scenario.name is None:
         raise ConfigError("config has no [scenario] section")
@@ -142,10 +145,18 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         panel, metrics = _run_absolute_scenario(cfg, params, report, threads)
     pooled = panel.pooled()
     measured = target is not None and not isinstance(target, PointMassDensity)
-    # moments' two sample-sized temporaries are freed before the one sorted
-    # copy that KS, Hill and ccdf.csv share
+    tables = out_dir is not None and cfg.outputs.get("format", "csv") == "csv"
+    # everything that reads the panel in time order comes first; then the
+    # pooled view of the panel's one buffer is sorted in place, so KS, Hill
+    # and ccdf.csv share the sorted sample without a copy
     stats = moments(pooled)
-    ordered = np.sort(pooled) if measured else None
+    mean_path = panel.mean_path()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    if tables:
+        panel.to_csv(os.path.join(out_dir, "panel.csv"))
+    if measured:
+        pooled.sort()
 
     summary = {
         "scenario": cfg.scenario.name,
@@ -153,19 +164,19 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         "config": cfg.to_dict(),
         "regime": report.to_dict(),
         "times": panel.times,
-        "mean_path": panel.mean_path(),
+        "mean_path": mean_path,
         "snapshot_count": int(panel.times.size),
         "moments": stats,
         "metrics": metrics,
         "hill": None,
-        "ks_distance": ks_distance(ordered, target.cdf) if measured else None,
+        "ks_distance": ks_distance(pooled, target.cdf) if measured else None,
         "counters": panel.counters,
     }
     if isinstance(target, GaussianDensity):
         metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
                        sample_skewness=summary["moments"]["skewness"])
     if target is not None and target.tail_exponent is not None:
-        est, note = _try_hill(ordered)
+        est, note = _try_hill(pooled)
         summary["hill"] = est
         if note:
             metrics["hill_note"] = note
@@ -174,15 +185,13 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
             metrics["alpha_hat"] = est["alpha"]
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_summary(summary, os.path.join(out_dir, "summary.json"))
-        if cfg.outputs.get("format", "csv") == "csv":
-            panel.to_csv(os.path.join(out_dir, "panel.csv"))
-            if measured:
-                grid = target.quantile(np.linspace(0.001, 0.999, 501))
-                write_density_table(target, os.path.join(out_dir, "density.csv"), grid)
-            if summary["hill"] is not None:
-                write_ccdf_table(ordered, os.path.join(out_dir, "ccdf.csv"))
+    if tables:
+        if measured:
+            grid = target.quantile(np.linspace(0.001, 0.999, 501))
+            write_density_table(target, os.path.join(out_dir, "density.csv"), grid)
+        if summary["hill"] is not None:
+            write_ccdf_table(pooled, os.path.join(out_dir, "ccdf.csv"))
     return summary
 
 

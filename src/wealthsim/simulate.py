@@ -443,15 +443,19 @@ def _forked_rows(blocks, size, width, make, workers):
 def _noise_worker(blocks, slots, make, free_r, ready_w):
     """Body of a forked noise worker: make ``blocks`` of steps in turn
     straight into the two ``slots``, each once the parent sends a token
-    that it is free, and exit; end of file on the token pipe means the
-    parent is gone."""
+    that it is free, and exit.  End of file on the token pipe, or a
+    closed ready pipe, means the parent is gone or stopping: the worker
+    exits quietly.  Only a failure to make a block is reported."""
     code = 1
     try:
         for j, (lo, hi) in enumerate(blocks):
             if not os.read(free_r, 1):
                 break
             make(lo, hi, slots[j % 2, :hi - lo])
-            os.write(ready_w, b"\0")
+            try:
+                os.write(ready_w, b"\0")
+            except BrokenPipeError:
+                break
         code = 0
     except Exception:
         os.write(2, ("wealthsim noise worker failed:\n" + traceback.format_exc()).encode())

@@ -113,29 +113,51 @@ def ks_distance(sample, cdf) -> float:
     return float(max(np.max(above), np.max(below)))
 
 
+_SUM_BLOCK = 1 << 14  # most values per block of moments' centred sums
+
+
+def _centred_sums(x: np.ndarray, mean: float, lo: int, n: int) -> tuple:
+    """Sums of d**2, d**3 and d**4 over ``d = x[lo:lo + n] - mean``.
+
+    numpy sums a contiguous float array pairwise, halving a range of more
+    than 128 values at ``n // 2`` rounded down to a multiple of 8.  The
+    range is halved at the same points until a block holds at most
+    ``_SUM_BLOCK`` values, numpy sums each block as that subtree, and the
+    partial sums are added in the tree's order: each result is the bits of
+    the one-shot sum, with two block-sized temporaries at a time.
+    """
+    if n > _SUM_BLOCK:
+        h = n // 2
+        h -= h % 8
+        a = _centred_sums(x, mean, lo, h)
+        b = _centred_sums(x, mean, lo + h, n - h)
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    d = x[lo:lo + n] - mean
+    d2 = d * d
+    # d's buffer takes d**3 and then d**4: the same products, no new array
+    return d2.sum(), np.multiply(d2, d, out=d).sum(), np.multiply(d2, d2, out=d).sum()
+
+
 def moments(sample) -> dict:
     """Mean, variance, skewness and excess kurtosis of a sample.
 
     The mean is a compensated sum, so large samples with small
     fluctuations around a big mean do not lose the fluctuations to
-    rounding; the centred sums are numpy's pairwise sums.  Variance uses
-    the n-1 convention; skewness and kurtosis are the usual standardized
-    central moments.
+    rounding.  The centred sums are numpy's pairwise sums of the whole
+    sample, bit for bit, taken over blocks of at most ``_SUM_BLOCK``
+    values (``_centred_sums``), so no temporary grows with the sample.
+    Variance uses the n-1 convention; skewness and kurtosis are the usual
+    standardized central moments.
     """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
     mean = math.fsum(x) / n
-    d = x - mean
-    d2 = d * d
-    m2 = float(d2.sum()) / n
+    m2, m3, m4 = (float(s) / n for s in _centred_sums(x, mean, 0, n))
     if m2 == 0.0:
         return {"n": n, "mean": mean, "variance": 0.0, "skewness": 0.0,
                 "excess_kurtosis": 0.0}
-    # d's buffer takes d**3 and then d**4: the same products, no new array
-    m3 = float(np.multiply(d2, d, out=d).sum()) / n
-    m4 = float(np.multiply(d2, d2, out=d).sum()) / n
     return {
         "n": n,
         "mean": mean,

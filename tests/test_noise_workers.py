@@ -222,6 +222,31 @@ def test_cli_exits_1_when_a_worker_dies(always_fork, monkeypatch, tmp_path, caps
     _assert_no_children()
 
 
+def test_worker_exits_quietly_when_the_parent_stops_reading():
+    # a worker whose ready pipe has no reader (the parent is gone or
+    # stopping) exits 0 without a report once it has made its block
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    err_r, err_w = os.pipe()
+    os.close(ready_r)
+    os.write(free_w, b"\0")
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.dup2(err_w, 2)
+            simulate._noise_worker([(0, 1)], np.zeros((2, 1, 3)),
+                                   lambda lo, hi, out: out.fill(1.0), free_r, ready_w)
+        finally:
+            os._exit(99)
+    for fd in (free_r, ready_w, err_w):
+        os.close(fd)
+    with os.fdopen(err_r, "rb") as fh:
+        err = fh.read()
+    os.close(free_w)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert err == b""
+
+
 def test_fork_rule(monkeypatch):
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 4)
     monkeypatch.setattr(simulate, "_SLOT_BYTES", 8000)  # ten steps of 100 floats

@@ -117,6 +117,40 @@ def test_incomplete_markets_artifacts(tmp_path):
     assert (out / "ccdf.csv").read_text().startswith("log_x,log_ccdf")
 
 
+def test_order_statistics_read_the_panels_own_sorted_buffer(tmp_path, monkeypatch):
+    # KS, Hill and ccdf.csv get the panel's pooled buffer, sorted in place,
+    # and panel.csv is written from the panel before that sort
+    from wealthsim import scenarios
+
+    seen, panels = [], []
+
+    def recording(fn):
+        def wrapped(sample, *args):
+            seen.append((fn.__name__, sample))
+            return fn(sample, *args)
+        return wrapped
+
+    run_absolute = scenarios.run_absolute
+
+    def run(*args, **kwargs):
+        panel = run_absolute(*args, **kwargs)
+        panels.append((panel, panel.snapshots.copy()))
+        return panel
+
+    monkeypatch.setattr(scenarios, "run_absolute", run)
+    for name in ("ks_distance", "hill", "write_ccdf_table"):
+        monkeypatch.setattr(scenarios, name, recording(getattr(scenarios, name)))
+    run_scenario(_incomplete_cfg(), out_dir=tmp_path)
+
+    (panel, unsorted), = panels
+    assert [name for name, _ in seen] == ["ks_distance", "hill", "write_ccdf_table"]
+    for _, sample in seen:
+        assert np.shares_memory(sample, panel.snapshots)
+        assert np.all(np.diff(sample) >= 0.0)
+    rows = np.loadtxt(tmp_path / "panel.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 2], unsorted.ravel())
+
+
 def test_json_format_suppresses_tables(tmp_path):
     out = tmp_path / "run"
     run_scenario(_incomplete_cfg(outputs={"format": "json"}), out_dir=out)

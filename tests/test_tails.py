@@ -120,6 +120,22 @@ def test_blocked_statistics_equal_the_one_shot_formulas():
                           "excess_kurtosis": m4 / (m2 * m2) - 3.0}
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e9])
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, (1 << 14) - 1, 1 << 14,
+                               (1 << 14) + 1, 3 * (1 << 14) + 123, 402_000, (1 << 20) + 5])
+def test_blocked_centred_sums_are_numpys_one_shot_sums(n, shift):
+    # the blocks split where numpy's pairwise sum splits, so every partial
+    # sum is numpy's own: equal bits, no tolerance, on a heavy-tailed sample
+    gen = np.random.default_rng(n)
+    x = shift + gen.standard_t(2.5, size=n)
+    mean = math.fsum(x) / n
+    d = x - mean
+    d2 = d * d
+    one_shot = [d2.sum(), (d2 * d).sum(), (d2 * d2).sum()]
+    blocked = tails._centred_sums(x, mean, 0, n)
+    assert [float(v).hex() for v in blocked] == [float(v).hex() for v in one_shot]
+
+
 def test_moments_degenerate_cases():
     m = moments([3.0, 3.0, 3.0])
     assert m["variance"] == 0.0 and m["skewness"] == 0.0
@@ -207,11 +223,12 @@ def test_nan_between_finite_values_is_sorted_not_taken_as_ascending():
 
 def test_order_statistics_of_a_sorted_pooled_sample_take_under_1_mb():
     # 402 000 values, the size of incomplete_markets' pooled panel: no
-    # statistic copies or masks a sorted sample, and KS holds one block of
-    # cdf values at a time (a cheap cdf, so the peak is the statistic's own)
+    # statistic copies or masks a sorted sample, KS holds one block of cdf
+    # values at a time (a cheap cdf, so the peak is the statistic's own),
+    # and moments two blocks of centred powers
     gen = np.random.default_rng(15)
     x = np.sort(7.0 * (1.0 - gen.uniform(size=402_000)) ** (-1.0 / 2.5) - 3.0)
-    for fn in (ccdf_loglog, hill, lambda v: ks_distance(v, _logistic)):
+    for fn in (ccdf_loglog, hill, lambda v: ks_distance(v, _logistic), moments):
         tracemalloc.start()
         try:
             fn(x)
