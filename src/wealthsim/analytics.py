@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# |discriminant| / var_lin**2 is about 1e-16 when the overlap means
+# coincide and about 1/F for F firms with one fewer on one side
+_SQUARE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class MeanFieldCoeffs:
     """Drift and noise-variance coefficients of one household's wealth.
@@ -70,6 +75,14 @@ class MeanFieldCoeffs:
     @property
     def discriminant(self) -> float:
         return 4.0 * self.var_const * self.var_quad - self.var_lin ** 2
+
+    @property
+    def perfect_square(self) -> bool:
+        """Whether the variance is ``var_quad * (p + var_lin/(2*var_quad))**2``:
+        a discriminant within ``_SQUARE_TOL * var_lin**2`` of zero is
+        rounding, which decides its sign on networks whose overlap means
+        coincide."""
+        return abs(self.discriminant) <= _SQUARE_TOL * self.var_lin ** 2
 
     @property
     def skew_weight(self) -> float:
@@ -125,7 +138,7 @@ def mean_field_coeffs(params: EconomyParams, market: "MarketState",
         var_lin=2.0 * base * (1.0 - params.tau_k) * (1.0 - params.tau_l) * rho * omega * cross_mean,
         var_quad=_capital_variance(params, rho, invest_mean),
     )
-    if coeffs.discriminant < 0.0:
+    if coeffs.discriminant < 0.0 and not coeffs.perfect_square:
         raise DegenerateDiscriminantError(
             "cross-noise exceeds the geometric mean of labor and capital noise; "
             "overlap inputs violate the Cauchy-Schwarz bound")
@@ -165,10 +178,13 @@ def tail_exponent_growth(params: EconomyParams, capital_return: float,
 # density handles
 
 class _Density:
-    """Common interface: pdf, cdf, quantile, support, tail_exponent."""
+    """Common interface: pdf, cdf, quantile, support, tail_exponent, and
+    the mean and variance, None where infinite."""
 
     support: tuple[float, float] = (-math.inf, math.inf)
     tail_exponent: float | None = None
+    mean: float | None = None
+    variance: float | None = None
 
 
 def _check_q(q):
@@ -206,24 +222,29 @@ class GaussianDensity(_Density):
 
 
 class InverseGammaDensity(_Density):
-    """Density ``rate**shape / Gamma(shape) * x**-(shape+1) * exp(-rate/x)``
-    on x > 0.  The tail exponent equals ``shape``; the mean is
-    ``rate / (shape - 1)`` when shape > 1.  Like the Gaussian, it imports
-    ``scipy.special`` itself."""
+    """Density ``rate**shape / Gamma(shape) * y**-(shape+1) * exp(-rate/y)``
+    of ``y = x - shift`` on x > shift.  The tail exponent equals
+    ``shape``; the mean is ``shift + rate / (shape - 1)`` when shape > 1
+    and the variance ``rate**2 / ((shape - 1)**2 * (shape - 2))`` when
+    shape > 2.  Like the Gaussian, it imports ``scipy.special`` itself."""
 
-    support = (0.0, math.inf)
-
-    def __init__(self, shape, rate):
+    def __init__(self, shape, rate, shift=0.0):
         from scipy.special import gammaln
         if shape <= 0.0 or rate <= 0.0:
             raise DomainError(f"shape and rate must be positive, got {shape}, {rate}")
         self.shape = float(shape)
         self.rate = float(rate)
+        self.shift = float(shift)
+        self.support = (self.shift, math.inf)
         self.tail_exponent = float(shape)
+        if shape > 1.0:
+            self.mean = self.shift + self.rate / (self.shape - 1.0)
+        if shape > 2.0:
+            self.variance = self.rate ** 2 / ((self.shape - 1.0) ** 2 * (self.shape - 2.0))
         self._log_norm = shape * math.log(rate) - gammaln(shape)
 
     def log_pdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float) - self.shift
         safe = np.where(arr > 0.0, arr, 1.0)
         raw = self._log_norm - (self.shape + 1.0) * np.log(safe) - self.rate / safe
         return np.where(arr > 0.0, raw, -math.inf)
@@ -233,20 +254,22 @@ class InverseGammaDensity(_Density):
 
     def cdf(self, x):
         from scipy.special import gammaincc
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float) - self.shift
         safe = np.where(arr > 0.0, arr, 1.0)
         return np.where(arr > 0.0, gammaincc(self.shape, self.rate / safe), 0.0)
 
     def quantile(self, q):
         from scipy.special import gammainccinv
-        return self.rate / gammainccinv(self.shape, _check_q(q))
+        return self.rate / gammainccinv(self.shape, _check_q(q)) + self.shift
 
 
 class PointMassDensity(_Density):
     """Degenerate distribution concentrated at one wealth level."""
 
+    variance = 0.0
+
     def __init__(self, location):
-        self.location = float(location)
+        self.location = self.mean = float(location)
         self.support = (self.location, self.location)
 
     def pdf(self, x):
@@ -297,7 +320,11 @@ class PearsonType4Density(_Density):
     ``variance(p)**-(1 + slope/v2) * exp(4 * w * arctan((v1 + 2 v2 p)/S))``
     with ``S = sqrt(4 v0 v2 - v1**2)`` and skew weight
     ``w = (intercept + slope*v1/(2 v2)) / S``.  Both tails decay like
-    ``|p|**-(alpha+1)`` with ``alpha = 1 + 2*slope/v2``.
+    ``|p|**-(alpha+1)`` with ``alpha = 1 + 2*slope/v2``.  In Pearson's
+    form ``(1 + ((p - lam)/a)**2)**-m * exp(-nu*arctan((p - lam)/a))``,
+    with ``lam = -v1/(2 v2)``, ``a = S/(2 v2)`` and ``nu = -4 w``, the mean
+    is ``lam - a*nu/r`` and, when ``r = 2(m - 1) > 1``, the variance is
+    ``a**2 * (r**2 + nu**2) / (r**2 * (r - 1))``.
 
     The CDF comes from the substitution ``p = (S*tan(t) - v1)/(2 v2)``,
     under which the density becomes ``cos(t)**(alpha-1) * exp(4*w*S_t*t)``
@@ -322,6 +349,12 @@ class PearsonType4Density(_Density):
         self._beta = 2.0 * coeffs.drift_slope / coeffs.var_quad
         self._w4 = 4.0 * coeffs.skew_weight / self._s
         self.tail_exponent = coeffs.tail_exponent
+        # Pearson's lam, a and nu; r = 2(m - 1) is self._beta
+        lam, a, nu, r = -coeffs.var_lin / (2.0 * coeffs.var_quad), \
+            self._s / (2.0 * coeffs.var_quad), -self._w4, self._beta
+        self.mean = lam - a * nu / r
+        if r > 1.0:
+            self.variance = a * a * (r * r + nu * nu) / (r * r * (r - 1.0))
         self._build_tables()
 
     # angle coordinate of a wealth level
@@ -434,7 +467,8 @@ def stationary_density(coeffs: MeanFieldCoeffs):
 
     All noise terms zero        -> point mass at intercept/slope
     only constant noise         -> Gaussian
-    only quadratic noise        -> inverse-gamma on positive wealth
+    a perfect square, v2 > 0    -> inverse-gamma above -v1/(2 v2), the root
+                                   of the variance (0 with quadratic noise only)
     constant and quadratic > 0  -> Pearson type IV on the whole line
     """
     c = coeffs
@@ -445,13 +479,15 @@ def stationary_density(coeffs: MeanFieldCoeffs):
     if c.var_lin == 0.0 and c.var_quad == 0.0:
         return GaussianDensity(mean=c.drift_intercept / c.drift_slope,
                                variance=c.var_const / (2.0 * c.drift_slope))
-    if c.var_const == 0.0 and c.var_lin == 0.0:
-        if c.drift_intercept <= 0.0:
+    if c.var_quad > 0.0 and c.perfect_square:
+        # the drift at the variance's root must point away from it
+        if c.skew_weight <= 0.0:
             raise DomainError(
-                "with purely multiplicative noise the drift intercept must be "
-                "positive to keep wealth away from zero")
+                "with purely multiplicative noise the drift at the variance's root "
+                "must be positive to keep wealth above it")
         return InverseGammaDensity(shape=c.tail_exponent,
-                                   rate=2.0 * c.drift_intercept / c.var_quad)
+                                   rate=2.0 * c.skew_weight / c.var_quad,
+                                   shift=-c.var_lin / (2.0 * c.var_quad))
     return PearsonType4Density(c)
 
 

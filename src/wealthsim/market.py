@@ -1,4 +1,5 @@
-"""Factor prices, stationary aggregates and regime classification.
+"""Factor prices, stationary aggregates, regime classification and the
+mean-field path of mean wealth.
 
 When all firms operate at the same capital-labor ratio, the ratio equals
 mean household wealth, the return on capital is the marginal product
@@ -15,11 +16,14 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .analytics import tail_exponent_growth, tail_exponent_stationary
 from .errors import (
     DomainError,
     KnifeEdgeError,
     NoStationaryStateError,
+    PriceUndefinedError,
     RegimeMismatchError,
 )
 from .params import EconomyParams, ProductionFunction
@@ -30,6 +34,7 @@ __all__ = [
     "clear",
     "stationary_roots",
     "classify_regime",
+    "integrate_mean_field",
     "STATIONARY",
     "ENDOGENOUS_GROWTH",
     "CONDITIONAL_GROWTH",
@@ -77,6 +82,40 @@ def clear(params: EconomyParams, pf: ProductionFunction, mean_wealth: float) -> 
 
 def _aggregate_drift(params, pf, p):
     return params.s * params.a * pf.value(p) - params.chi - params.nu * p
+
+
+def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,
+                         initial_mean: float, t_end: float, dt: float):
+    """Classic fourth-order Runge-Kutta path of mean wealth.
+
+    Integrates ``dp/dt = s*a*g(p) - chi - nu*p`` and returns the time
+    grid and the trajectory.  Taxes never enter: redistribution cancels
+    in the aggregate.
+    """
+    if dt <= 0.0 or t_end <= 0.0:
+        raise DomainError("t_end and dt must be positive")
+    steps = int(round(t_end / dt))
+    if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise DomainError(f"t_end={t_end} is not a multiple of dt={dt}")
+    if not initial_mean > 0.0:
+        raise PriceUndefinedError(f"initial mean wealth {initial_mean} is not positive")
+
+    def f(p):
+        if not p > 0.0:
+            raise PriceUndefinedError(f"mean wealth {p} left the positive domain")
+        return _aggregate_drift(params, pf, p)
+
+    times = np.linspace(0.0, steps * dt, steps + 1)
+    path = np.empty(steps + 1)
+    path[0] = p = initial_mean
+    for i in range(1, steps + 1):
+        k1 = f(p)
+        k2 = f(p + 0.5 * dt * k1)
+        k3 = f(p + 0.5 * dt * k2)
+        k4 = f(p + dt * k3)
+        p = p + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        path[i] = p
+    return times, path
 
 
 def _rank(x):

@@ -172,9 +172,11 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
         "ks_distance": ks_distance(pooled, target.cdf) if measured else None,
         "counters": panel.counters,
     }
+    for key in ("mean", "variance"):
+        if target is not None and getattr(target, key) is not None:
+            metrics[f"analytic_{key}"] = getattr(target, key)
     if isinstance(target, GaussianDensity):
-        metrics.update(analytic_mean=target.mean, analytic_variance=target.variance,
-                       sample_skewness=summary["moments"]["skewness"])
+        metrics["sample_skewness"] = summary["moments"]["skewness"]
     if target is not None and target.tail_exponent is not None:
         est, note = _try_hill(pooled)
         summary["hill"] = est
@@ -265,8 +267,9 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
 
     Covers parameter ranges, the price-accounting identity, network
     invariants, the noise-covariance construction on a small instance,
-    density normalization, and tail-index continuity at the regime
-    boundary.  Returns one pass/fail record per check.
+    density normalization, tail-index continuity at the regime boundary,
+    and the target's mean against the law's.  Returns one pass/fail
+    record per check.
     """
     params, pf = cfg.economy, cfg.production
     checks = []
@@ -354,4 +357,16 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
         return (gap < 1e-9, f"|stationary - growth| = {gap:.2e} at the boundary")
 
     checks.append(_check("transition_continuity", continuity_check))
+
+    def target_mean_check():
+        _, report, dens, _ = _closed_form(cfg)
+        if dens is None or dens.mean is None:
+            return "no target with a finite mean"
+        # a stationary law's mean is the cleared mean wealth, relative wealth's is 1
+        want = report.mean_wealth if report.regime == market.STATIONARY else 1.0
+        gap = abs(dens.mean - want) / abs(want)
+        return (gap <= 1e-12, f"target mean {dens.mean:.17g} against {want:.17g}: "
+                              f"relative gap {gap:.2e} (bound 1e-12)")
+
+    checks.append(_check("target_mean", target_mean_check))
     return checks

@@ -12,16 +12,16 @@ Philox stream keyed by (seed, n), so trajectories are reproducible and
 independent of how the work is scheduled.  One generator is reset to
 each stream rather than rebuilt, with the same draws.
 
-Each step splits into a state-free part, a pure function of (seed, n):
-the draws and what follows from them alone, and the state update.  On
-long runs forked worker processes make the state-free part in blocks of
-steps ahead of the update, which stays in the calling process.  For an
-absolute run that part is the flow rows of a block's firm draws, which
-one routine writes for every caller: invest flows, labor flows and
-their total, or invest flows alone under deterministic labor.  The
-update only prices the flows and moves wealth.  Whether a run forks
-depends on the normals it draws, not on the width of its rows, and a
-block fills one slot of fixed size whatever that width.
+Each step splits into a state-free part, a pure function of (seed, n),
+and the state update.  On long runs forked worker processes make the
+state-free part ahead of the update, which stays in the calling process.
+For an absolute run that part is the flow row of a step's firm draws,
+which one routine writes for every caller: invest flows, labor flows and
+their total, or invest flows alone under deterministic labor.  A
+relative step is affine in the state, so a block of relative steps
+composes into one affine map per household, made ahead and applied
+once.  Whether a run forks depends on the normals it draws, not on the
+width of its rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     PriceUndefinedError,
     WealthsimError,
 )
-from .market import _aggregate_drift, clear
+from .market import clear
 from .network import AllocationNetwork
 from .params import EconomyParams, ProductionFunction
 
@@ -54,7 +54,6 @@ __all__ = [
     "step_absolute",
     "run_absolute",
     "run_relative_growth",
-    "integrate_mean_field",
     "empirical_noise_covariance",
     "analytic_noise_covariance",
 ]
@@ -351,6 +350,7 @@ def empirical_noise_covariance(params: EconomyParams, net: AllocationNetwork,
 FORK_MIN_DRAWS = 2 ** 24  # runs drawing fewer normals make their noise inline
 DEFAULT_THREADS = 2       # the one worker count measured (on 2 cores) to pay for itself
 _SLOT_BYTES = 3 << 18     # noise per slot; a worker's two slots are its lead on the update
+RELATIVE_BLOCK = 64       # most steps a relative run composes into one row; 16-256 ran alike
 
 
 def _usable_cores() -> int:
@@ -366,40 +366,50 @@ def _usable_cores() -> int:
         return cores
 
 
-def _noise(steps, normals, width, make, threads):
-    """Plan the noise of steps ``1..steps``: (workers, rows).
+def _noise(ends, normals, width, make, threads, size=None):
+    """Plan the noise of the step ranges ending at ``ends``: (workers, rows).
 
-    ``make(lo, hi, rows)`` fills ``rows[k]`` with the ``width`` values of
-    step ``lo + k`` for the steps ``lo..hi-1``, made from that step's
-    ``normals`` normals alone.  ``rows`` yields one row per step, each
-    valid until the next is asked for; close it when done.  A run that
-    draws at least ``FORK_MIN_DRAWS`` normals (``steps * normals``) forks
-    ``min(threads, _usable_cores())`` workers (``threads`` None:
-    ``DEFAULT_THREADS``), at most one per block of steps whose rows fill
-    about ``_SLOT_BYTES``.  One worker would gain nothing, so then, and
-    below the threshold, ``workers`` is 0 and each step is made inline,
-    one at a time, just before its update.
+    ``make(lo, hi, rows)`` fills ``rows`` with the ``width``-value rows of
+    steps ``lo..hi-1`` from each step's ``normals`` normals alone: one
+    row per step, or one for the whole range when a slot holds one range
+    (``size`` 1).  ``rows`` yields one row per range, each valid until
+    the next is asked for; close it when done.  A run that draws at least
+    ``FORK_MIN_DRAWS`` normals forks ``min(threads, _usable_cores())``
+    workers (``threads`` None: ``DEFAULT_THREADS``), at most one per slot
+    of ``size`` ranges (None: one-step rows filling about ``_SLOT_BYTES``).
+    One worker would gain nothing, so then, and below the threshold,
+    ``workers`` is 0 and each range is made inline before its update.
     """
     if threads is None:
         threads = DEFAULT_THREADS
     if threads < 1:
         raise ConfigError(f"thread count must be positive, got {threads}")
-    size = max(1, _SLOT_BYTES // (8 * width))
-    workers = min(threads, _usable_cores(), -(-steps // size))
-    if workers < 2 or steps * normals < FORK_MIN_DRAWS or not hasattr(os, "fork"):
-        return 0, _inline_rows(steps, width, make)
-    blocks = [(lo, min(lo + size, steps + 1)) for lo in range(1, steps + 1, size)]
-    return workers, _forked_rows(blocks, size, width, make, workers)
+    if size is None:
+        size = max(1, _SLOT_BYTES // (8 * width))
+    n_blocks = -(-len(ends) // size)
+    workers = min(threads, _usable_cores(), n_blocks)
+    if workers < 2 or ends[-1] * normals < FORK_MIN_DRAWS or not hasattr(os, "fork"):
+        return 0, _inline_rows(ends, width, make)
+
+    def block(b):
+        # (first step, one past its last step, ranges) of the b-th slot's
+        # fill, computed when asked: a list of them costs 125 KB on the flagship
+        j = b * size
+        k = min(size, len(ends) - j)
+        return ends[j - 1] + 1 if j else 1, ends[j + k - 1] + 1, k
+
+    return workers, _forked_rows(block, n_blocks, size, width, make, workers)
 
 
-def _inline_rows(steps, width, make):
+def _inline_rows(ends, width, make, lo=1):
     row = np.empty((1, width))
-    for step in range(1, steps + 1):
-        make(step, step + 1, row)
+    for hi in ends:
+        make(lo, hi + 1, row)
         yield row[0]
+        lo = hi + 1
 
 
-def _forked_rows(blocks, size, width, make, workers):
+def _forked_rows(block, n_blocks, size, width, make, workers):
     # two slots per worker in one shared anonymous mapping: worker w
     # makes blocks w, w + workers, ... and alternates between its slots;
     # one-byte tokens on a pipe each way say a slot is free or filled
@@ -416,18 +426,20 @@ def _forked_rows(blocks, size, width, make, workers):
             if pid == 0:
                 for fd in frees + readies:
                     os.close(fd)
-                _noise_worker(blocks[w::workers], slots[2 * w:2 * w + 2], make, free_r, ready_w)
+                _noise_worker(map(block, range(w, n_blocks, workers)), slots[2 * w:2 * w + 2],
+                              make, free_r, ready_w)
             pids.append(pid)
             os.close(free_r)
             os.close(ready_w)
             os.write(free_w, b"\0\0")  # both slots are free
-        for b, (lo, hi) in enumerate(blocks):
+        for b in range(n_blocks):
+            lo, hi, count = block(b)
             w, j = b % workers, b // workers
             if not os.read(readies[w], 1):
                 raise WealthsimError(
                     f"noise worker {w} exited before making steps {lo}-{hi - 1}")
-            yield from slots[2 * w + j % 2, :hi - lo]
-            if b + 2 * workers < len(blocks):
+            yield from slots[2 * w + j % 2, :count]
+            if b + 2 * workers < n_blocks:
                 try:
                     os.write(frees[w], b"\0")
                 except BrokenPipeError:
@@ -441,17 +453,18 @@ def _forked_rows(blocks, size, width, make, workers):
 
 
 def _noise_worker(blocks, slots, make, free_r, ready_w):
-    """Body of a forked noise worker: make ``blocks`` of steps in turn
-    straight into the two ``slots``, each once the parent sends a token
-    that it is free, and exit.  End of file on the token pipe, or a
-    closed ready pipe, means the parent is gone or stopping: the worker
-    exits quietly.  Only a failure to make a block is reported."""
+    """Body of a forked noise worker: make ``blocks`` (first step, end,
+    ranges) in turn straight into the two ``slots``, each once the
+    parent sends a token that it is free, and exit.  End of file on the
+    token pipe, or a closed ready pipe, means the parent is gone or
+    stopping: the worker exits quietly.  Only a failure to make a block
+    is reported."""
     code = 1
     try:
-        for j, (lo, hi) in enumerate(blocks):
+        for j, (lo, hi, count) in enumerate(blocks):
             if not os.read(free_r, 1):
                 break
-            make(lo, hi, slots[j % 2, :hi - lo])
+            make(lo, hi, slots[j % 2, :count])
             try:
                 os.write(ready_w, b"\0")
             except BrokenPipeError:
@@ -464,20 +477,23 @@ def _noise_worker(blocks, slots, make, free_r, ready_w):
 
 
 def _record(config: SimulationConfig, state: np.ndarray, advance, make, normals, width,
-            threads) -> WealthPanel:
+            threads, block=1) -> WealthPanel:
     """Step ``state`` through ``advance(state, step, mean, row)`` and keep
     the snapshots.
 
-    ``row`` is the step's noise, ``width`` values that ``make`` fills
-    from ``normals`` normals, planned by ``_noise`` for ``threads``
-    workers.  ``mean`` is the mean of the state handed in, the one
-    reduction per step.  It doubles as the finiteness check: a finite
-    mean means every entry is finite, so only a non-finite mean costs a
-    scan, and a state with a non-finite entry raises NonFiniteError
-    carrying the step index.  The state is recorded at t=0 when there is
-    no burn-in, then every ``record_every`` from ``burn_in`` on, straight
-    into the panel's one preallocated array.  Returns the panel,
-    counting the steps and the noise workers.
+    ``row`` is the noise of the steps up to ``step``, in ranges that end
+    every ``block`` steps, at every recorded step and at the last:
+    ``width`` values that ``make`` fills from ``normals`` normals a step,
+    planned by ``_noise`` for ``threads`` workers.  ``mean`` is the mean
+    of the state handed in, the one reduction per row.  It doubles as the
+    finiteness check: a finite mean means every entry is finite, so only
+    a non-finite mean costs a scan, and a state with a non-finite entry
+    raises NonFiniteError carrying the step index, found by stepping a
+    longer range again one step at a time.
+    The state is recorded at t=0 when there is no burn-in, then every
+    ``record_every`` from ``burn_in`` on, straight into the panel's one
+    preallocated array.  Returns the panel, counting the steps and the
+    noise workers.
     """
     steps_total, burn_steps, rec_steps = config.step_counts()
     # the steps burn_steps, burn_steps + rec_steps, ... up to steps_total,
@@ -486,17 +502,28 @@ def _record(config: SimulationConfig, state: np.ndarray, advance, make, normals,
     snaps = np.empty((recorded.size, state.size))
     if burn_steps == 0:
         snaps[0] = state
-    workers, noise = _noise(steps_total, normals, width, make, threads)
+    ends = range(1, steps_total + 1) if block == 1 else sorted(
+        {*range(block, steps_total, block), *recorded.tolist(), steps_total} - {0})
+    workers, noise = _noise(ends, normals, width, make, threads, None if block == 1 else 1)
     try:
         # sum / size is exactly what ndarray.mean computes, without its overhead
         mean = state.sum() / state.size
-        for step in range(1, steps_total + 1):
-            state = advance(state, step, mean, next(noise))
-            mean = state.sum() / state.size
-            if not math.isfinite(mean) and not np.all(np.isfinite(state)):
+        lo = 1
+        for hi in ends:
+            new = advance(state, hi, mean, next(noise))
+            mean = new.sum() / new.size
+            if not math.isfinite(mean) and not np.all(np.isfinite(new)):
+                # step the range again one step at a time for the exact step
+                steps = range(lo, hi + 1)
+                for step, row in zip(steps, _inline_rows(steps, width, make, lo)):
+                    state = advance(state, step, state.sum() / state.size, row)
+                    if not np.all(np.isfinite(state)):
+                        break
                 raise NonFiniteError(f"state stopped being finite at step {step}", step=step)
-            if step >= burn_steps and (step - burn_steps) % rec_steps == 0:
-                snaps[(step - burn_steps) // rec_steps] = state
+            state = new
+            if hi >= burn_steps and (hi - burn_steps) % rec_steps == 0:
+                snaps[(hi - burn_steps) // rec_steps] = state
+            lo = hi + 1
     finally:
         noise.close()
     return WealthPanel(times=recorded * config.dt, snapshots=snaps,
@@ -579,9 +606,11 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     ``u*exp(sigma*dW - sigma**2*dt/2)``, then the other half step of
     relaxation, with one normal per household from the (seed, step)
     stream.  Relative wealth stays positive and its mean is kept in
-    expectation for any dt.  The geometric factors are made ahead of
-    the update, by up to ``threads`` forked workers on long runs (see
-    ``_noise``); the panel does not depend on how many.
+    expectation for any dt.  A step is affine in u, so each block of at
+    most ``RELATIVE_BLOCK`` steps, cut at every recorded step, composes
+    into one map per household, made ahead of the update by up to
+    ``threads`` forked workers on long runs (see ``_noise``); the panel
+    does not depend on how many.
     """
     coeffs = _growth_coeffs(params, capital_return, invest_overlap_mean)
     u = np.array(initial, dtype=float)
@@ -594,61 +623,35 @@ def run_relative_growth(config: SimulationConfig, params: EconomyParams,
     sigma = math.sqrt(coeffs.var_quad)
     if revert * config.dt >= 0.5 or sigma * sigma * config.dt >= 1.0:
         raise ConfigError("dt too coarse for the reversion or noise scale")
-    decay = math.exp(-0.5 * revert * config.dt)
-    sq = math.sqrt(config.dt)
+    # with d = exp(-revert*dt/2), a step u -> 1 + ((1 + (u-1)*d)*factor - 1)*d
+    # is u + c -> g*(u + c) + kappa, c = (1-d)/d, kappa = (1-d*d)/d and
+    # g = factor*d*d = exp(sigma*sqrt(dt)*normal - sigma**2*dt/2 - revert*dt);
+    # a block composes to u -> gain*(u + c) + (offset - c), its row [gain | offset - c]
+    half = 0.5 * revert * config.dt
+    c, kappa = math.expm1(half), 2.0 * math.sinh(half)  # without 1 - d's cancellation
+    scale, shift = sigma * math.sqrt(config.dt), -(0.5 * sigma * sigma + revert) * config.dt
     n = u.shape[0]
 
     def make(lo, hi, rows):
-        # exp(sigma * dw - sigma**2 * dt / 2) with dw = sqrt(dt) * normal
-        for row, step in zip(rows, range(lo, hi)):
-            np.multiply(_stream(config.seed, step).standard_normal(n), sq, out=row)
-            row *= sigma
-            row -= 0.5 * sigma * sigma * config.dt
-            np.exp(row, out=row)
+        gain, offset = rows[0, :n], rows[0, n:]
+        for step in range(lo, hi):
+            g = _stream(config.seed, step).standard_normal(n)
+            g *= scale
+            g += shift
+            np.exp(g, out=g)
+            if step == lo:  # no 0 * g: an infinite g stays inf, never nan
+                gain[:] = g
+                offset.fill(kappa)
+            else:
+                gain *= g
+                offset *= g
+                offset += kappa
+        offset -= c
 
-    def advance(u, step, _mean, factor):
-        # 1 + ((1 + (u-1)*decay) * factor - 1) * decay, one operation at a time
-        v = u - 1.0
-        v *= decay
-        v += 1.0
-        v *= factor
-        v -= 1.0
-        v *= decay
-        v += 1.0
+    def advance(u, _step, _mean, row):
+        v = u + c
+        v *= row[:n]
+        v += row[n:]
         return v
 
-    return _record(config, u, advance, make, n, n, threads)
-
-
-def integrate_mean_field(params: EconomyParams, pf: ProductionFunction,
-                         initial_mean: float, t_end: float, dt: float):
-    """Classic fourth-order Runge-Kutta path of mean wealth.
-
-    Integrates ``dp/dt = s*a*g(p) - chi - nu*p`` and returns the time
-    grid and the trajectory.  Taxes never enter: redistribution cancels
-    in the aggregate.
-    """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise DomainError("t_end and dt must be positive")
-    steps = int(round(t_end / dt))
-    if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise DomainError(f"t_end={t_end} is not a multiple of dt={dt}")
-    if not initial_mean > 0.0:
-        raise PriceUndefinedError(f"initial mean wealth {initial_mean} is not positive")
-
-    def f(p):
-        if not p > 0.0:
-            raise PriceUndefinedError(f"mean wealth {p} left the positive domain")
-        return _aggregate_drift(params, pf, p)
-
-    times = np.linspace(0.0, steps * dt, steps + 1)
-    path = np.empty(steps + 1)
-    path[0] = p = initial_mean
-    for i in range(1, steps + 1):
-        k1 = f(p)
-        k2 = f(p + 0.5 * dt * k1)
-        k3 = f(p + 0.5 * dt * k2)
-        k4 = f(p + dt * k3)
-        p = p + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        path[i] = p
-    return times, path
+    return _record(config, u, advance, make, n, 2 * n, threads, RELATIVE_BLOCK)

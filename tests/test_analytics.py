@@ -8,6 +8,7 @@ distributions and direct quadrature.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,22 @@ def test_inverse_gamma_matches_scipy():
     np.testing.assert_allclose(d.quantile(q), ref.ppf(q), rtol=1e-10)
     assert d.support[0] == 0.0
     assert d.tail_exponent == d.shape
+
+
+def test_shifted_inverse_gamma_matches_scipy():
+    # a perfect-square variance moves the inverse gamma's edge to its root
+    for shape, shift in ((2.507936507936507, -3.5), (1.5, 2.0), (0.8, 0.0)):
+        d = InverseGammaDensity(shape=shape, rate=10.926190235564583, shift=shift)
+        ref = scipy.stats.invgamma(a=shape, loc=shift, scale=d.rate)
+        x = shift + np.geomspace(0.5, 500.0, 12)
+        np.testing.assert_allclose(d.pdf(x), ref.pdf(x), rtol=1e-10)
+        np.testing.assert_allclose(d.cdf(x), ref.cdf(x), rtol=1e-10)
+        q = np.linspace(0.01, 0.99, 11)
+        np.testing.assert_allclose(d.quantile(q), ref.ppf(q), rtol=1e-10)
+        assert d.pdf(shift) == 0.0 and d.cdf(shift - 1.0) == 0.0
+        assert d.support == (shift, math.inf)
+        assert d.mean == (pytest.approx(ref.mean(), rel=1e-12) if shape > 1.0 else None)
+        assert d.variance == (pytest.approx(ref.var(), rel=1e-12) if shape > 2.0 else None)
 
 
 def test_relative_wealth_density_unit_mean():
@@ -340,3 +357,70 @@ def test_pearson_quantile_inverts_cdf(shipped_pearson, name):
     assert isinstance(d.quantile(0.5), float) and d.quantile(0.5) == x[250]
     with pytest.raises(DomainError):
         d.quantile([0.5, 1.0])
+
+
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_pearson_moments_match_quadrature(shipped_pearson, name):
+    # Pearson's closed-form mean and variance against the moment identities
+    # of the diffusion, E[drift] = 0 and E[2*p*drift + variance] = 0, and
+    # against quad of the density in the angle coordinate
+    d = _variant(shipped_pearson, name)
+    co = d.coeffs
+    mean = co.drift_intercept / co.drift_slope
+    assert d.mean == pytest.approx(mean, rel=1e-12)
+    second = ((co.var_const + (2.0 * co.drift_intercept + co.var_lin) * mean)
+              / (2.0 * co.drift_slope - co.var_quad))
+    assert (d.variance is None) == (d.tail_exponent <= 2.0)
+
+    def expect(fn):
+        def integrand(t):
+            p = d._wealth(t)
+            return fn(p) * d.pdf(p) * d._s / (2.0 * co.var_quad * math.cos(t) ** 2)
+        with warnings.catch_warnings():
+            # the near-Cauchy variant's slow tail warns, and still meets rel 1e-7
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            return scipy.integrate.quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
+                                        limit=500, epsabs=0.0, epsrel=1e-12)[0]
+
+    assert d.mean == pytest.approx(expect(lambda p: p), rel=1e-7)
+    if d.variance is not None:
+        assert d.variance == pytest.approx(second - mean * mean, rel=1e-12)
+        assert d.variance == pytest.approx(expect(lambda p: (p - d.mean) ** 2), rel=1e-7)
+
+
+@pytest.mark.parametrize("firms", [3, 7, 12, 50, 100])
+def test_perfect_square_noise_targets_a_shifted_inverse_gamma(cd_benchmark, firms):
+    # equal invest, cross and labor overlaps make the variance
+    # var_quad*(p - root)**2; rounding decides the discriminant's sign
+    params, pf = cd_benchmark
+    state = clear(params, pf, P_BAR_STAR)
+    theta = 1.0 / firms
+    co = mean_field_coeffs(params, state, theta, theta, theta)
+    assert co.perfect_square and abs(co.discriminant) < 1e-15 * co.var_lin ** 2
+    d = stationary_density(co)
+    assert isinstance(d, InverseGammaDensity)
+    root = -co.var_lin / (2.0 * co.var_quad)
+    assert d.shift == root and d.support == (root, math.inf)
+    assert d.shape == co.tail_exponent
+    assert d.mean == pytest.approx(P_BAR_STAR, rel=1e-12)
+    q = np.linspace(0.01, 0.99, 25)
+    np.testing.assert_allclose(d.cdf(d.quantile(q)), q, rtol=0.0, atol=1e-12)
+    # the zero-flux density: d/dp log(variance * pdf) = 2 * drift / variance
+    p = d.quantile(np.linspace(0.05, 0.95, 7))
+    h = 1e-5 * (p - root)
+
+    def log_flux(x):
+        return np.log(co.var_const + co.var_lin * x + co.var_quad * x * x) + d.log_pdf(x)
+
+    slope = (log_flux(p + h) - log_flux(p - h)) / (2.0 * h)
+    drift = co.drift_intercept - co.drift_slope * p
+    variance = co.var_const + co.var_lin * p + co.var_quad * p * p
+    np.testing.assert_allclose(slope, 2.0 * drift / variance, rtol=0.0,
+                               atol=1e-6 * np.max(np.abs(slope)))
+    # a clearly non-square variance keeps the Pearson IV, a clearly negative
+    # discriminant still raises
+    near = mean_field_coeffs(params, state, theta * (1.0 + 1e-6), theta, theta)
+    assert not near.perfect_square
+    assert isinstance(stationary_density(near), PearsonType4Density)
+    with pytest.raises(DegenerateDiscriminantError):
+        mean_field_coeffs(params, state, theta, theta * (1.0 + 1e-6), theta)

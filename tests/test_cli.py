@@ -207,7 +207,7 @@ def test_validate_passes(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
-    assert len(report["checks"]) == 6
+    assert len(report["checks"]) == 7
 
 
 @pytest.mark.parametrize("name", ["complete_markets", "labor_only"])

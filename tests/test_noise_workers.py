@@ -145,6 +145,45 @@ def test_flow_rows_do_not_depend_on_block_size(name):
     np.testing.assert_array_equal(_rows_in_blocks(fresh, width, 40, 24), one)
 
 
+def _ring_sizes(monkeypatch):
+    """Lengths of the anonymous mappings made from now on."""
+    sizes, real = [], simulate.mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(simulate.mmap, "mmap", recording)
+    return sizes
+
+
+def test_ring_slot_holds_one_relative_block_or_a_slot_of_absolute_steps(monkeypatch):
+    monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", 0)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    sizes = _ring_sizes(monkeypatch)
+    # a relative row is [gain | offset], 2N wide, and fills a slot alone
+    params = EconomyParams(s=0.2, tau_k=0.2, chi=0.0, nu=0.01, a=1.0, delta=10.0)
+    cfg = SimulationConfig(dt=0.25, t_end=100.0, record_every=50.0, seed=4)
+    forked = run_relative_growth(cfg, params, 1.0, RHO_INF, np.ones(300), threads=2)
+    _assert_no_children()
+    assert forked.counters["noise_workers"] == 2
+    assert sizes == [2 * 2 * (2 * 300) * 8]
+    inline = run_relative_growth(cfg, params, 1.0, RHO_INF, np.ones(300), threads=1)
+    np.testing.assert_array_equal(forked.snapshots, inline.snapshots)
+    # the flagship's absolute rows, 2N + 1 = 4001 wide, go 24 to a slot
+    sizes.clear()
+    flagship = load_config(CONFIG_DIR / "incomplete_markets.ini")
+    sim = flagship.simulation
+    net = flagship.build_network()
+    make, width = simulate._flow_maker(flagship.economy, net, sim.dt, sim.seed, True)
+    workers, rows = _noise(range(1, 101), net.n_firms, width, make, 2)
+    next(rows)
+    rows.close()
+    _assert_no_children()
+    assert (workers, width) == (2, 4001)
+    assert sizes == [2 * 2 * 24 * 4001 * 8]
+
+
 def test_fork_rule_counts_normals_not_row_width(monkeypatch):
     # rows of 2N + 1 = 49 values from F = 12 normals: the threshold is
     # crossed by steps * F, whatever the width of the rows
@@ -234,7 +273,7 @@ def test_worker_exits_quietly_when_the_parent_stops_reading():
     if pid == 0:
         try:
             os.dup2(err_w, 2)
-            simulate._noise_worker([(0, 1)], np.zeros((2, 1, 3)),
+            simulate._noise_worker([(0, 1, 1)], np.zeros((2, 1, 3)),
                                    lambda lo, hi, out: out.fill(1.0), free_r, ready_w)
         finally:
             os._exit(99)
@@ -253,7 +292,7 @@ def test_fork_rule(monkeypatch):
     monkeypatch.setattr(simulate, "FORK_MIN_DRAWS", 1000)
 
     def workers(threads, steps=1000):
-        count, rows = _noise(steps, 100, 100, None, threads)
+        count, rows = _noise(range(1, steps + 1), 100, 100, None, threads)
         rows.close()
         return count
 

@@ -287,7 +287,7 @@ def test_validate_checks_pass_on_shipped_config(name):
     checks = validate_checks(cfg)
     assert [c["name"] for c in checks] == [
         "economy_params", "euler_identity", "network_invariants",
-        "noise_covariance", "density_normalization", "transition_continuity"]
+        "noise_covariance", "density_normalization", "transition_continuity", "target_mean"]
     failed = [c for c in checks if not c["passed"]]
     assert failed == []
     assert _SHIPPED_TARGETS[name] in checks[4]["detail"]
@@ -319,8 +319,8 @@ def test_one_tail_exponent_per_shipped_config(name, capsys):
 ], ids=[*sorted(SHORT_RUNS), "incomplete_markets_delta_0"])
 def test_reporting_follows_the_target(name, economy):
     # a Hill index is reported exactly where the closed form has a power
-    # tail, Gaussian moments exactly where it is Gaussian: with delta = 0
-    # an IncompleteMarkets economy targets a point mass and reports neither
+    # tail, analytic moments exactly where they are finite: with delta = 0
+    # an IncompleteMarkets economy targets a point mass and reports no Hill index
     cfg = load_config(CONFIG_DIR / f"{name}.ini").with_raw("simulation", **SHORT_RUNS[name])
     cfg = cfg.with_raw("economy", **economy)
     target = _closed_form(cfg, cfg.scenario.relative)[2]
@@ -330,7 +330,10 @@ def test_reporting_follows_the_target(name, economy):
     assert (summary["hill"] is not None) == tailed
     assert ("alpha_analytic" in metrics) == tailed
     assert metrics.get("alpha_hat") == (summary["hill"] or {}).get("alpha")
-    assert ("analytic_mean" in metrics) == isinstance(target, GaussianDensity)
+    for key in ("mean", "variance"):
+        finite = target is not None and getattr(target, key) is not None
+        assert metrics.get(f"analytic_{key}") == (getattr(target, key) if finite else None)
+    assert ("sample_skewness" in metrics) == isinstance(target, GaussianDensity)
 
 
 def test_euler_check_tests_the_prices_every_step_uses(monkeypatch):
@@ -435,6 +438,40 @@ def test_validate_checks_degenerate_branches():
     by_name = {c["name"]: c for c in validate_checks(still)}
     assert all(c["passed"] for c in by_name.values())
     assert "no tail index to continue" in by_name["transition_continuity"]["detail"]
+
+
+def test_fully_spread_incomplete_markets_target_a_shifted_inverse_gamma():
+    # both spreads equal to n_firms make the noise variance a perfect square,
+    # whose discriminant rounding leaves at about 1e-16 * var_lin**2
+    cfg = load_config(CONFIG_DIR / "complete_markets.ini").with_raw(
+        "scenario", name="IncompleteMarkets")
+    by_name = {c["name"]: c for c in validate_checks(cfg)}
+    assert [c for c in by_name.values() if not c["passed"]] == []
+    assert "InverseGammaDensity" in by_name["density_normalization"]["detail"]
+    summary = run_scenario(cfg.with_raw("simulation", **SHORT_RUNS["complete_markets"]))
+    # the run completes against that target; its 50 firms' common noise
+    # moves the cross-section's mean, so no KS bound is asserted here
+    assert summary["metrics"]["analytic_mean"] == pytest.approx(P_BAR_STAR, rel=1e-12)
+    assert summary["ks_distance"] is not None
+
+
+@pytest.mark.parametrize("name", ["endogenous_growth", "staggered_wages"])
+def test_target_mean_check_sees_a_misplaced_target(monkeypatch, name):
+    # a rate off by 1e-9 moves the mean but keeps the target normalized
+    from wealthsim import analytics, scenarios
+
+    honest = analytics.InverseGammaDensity
+
+    def misplaced(shape, rate, shift=0.0):
+        return honest(shape, rate * (1.0 + 1e-9), shift)
+
+    cfg = load_config(CONFIG_DIR / f"{name}.ini")
+    assert {c["name"]: c for c in validate_checks(cfg)}["target_mean"]["passed"]
+    monkeypatch.setattr(analytics, "InverseGammaDensity", misplaced)
+    by_name = {c["name"]: c for c in scenarios.validate_checks(cfg)}
+    assert by_name["density_normalization"]["passed"]
+    assert not by_name["target_mean"]["passed"]
+    assert "relative gap 1.00e-09" in by_name["target_mean"]["detail"]
 
 
 def test_validate_checks_boundary_continuity_for_growth_config():
