@@ -175,6 +175,220 @@ def tail_exponent_growth(params: EconomyParams, capital_return: float,
 
 
 # ---------------------------------------------------------------------------
+# regularized incomplete gamma ratios P(a, x) and Q(a, x) = 1 - P(a, x)
+
+_EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022  # the smallest normal float
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)), k = 1..7: Stirling's series of log Gamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+_BLOCK = 1 << 14  # values per cdf block of a Pearson IV, a Gaussian or an inverse gamma
+
+
+def _log_gamma_star(a):
+    """log of Gamma(a) / (sqrt(2 pi) a**(a - 1/2) e**-a).  From a = 10 on,
+    Stirling's series to a**-13 is exact to 3e-17; below, lgamma loses
+    little to the cancellation."""
+    if a < 10.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s / (a * a) + c
+    return s / a
+
+
+def _iterate(step, out, state):
+    """Run ``step(n, state)`` for n = 1, 2, ... on the entries still open.
+
+    ``state`` is a list of arrays: the entries' positions in ``out``, their
+    values, then whatever else the step carries.  The step updates the
+    arrays in place and returns the mask of the entries that stay open.
+    When some close, every value lands in ``out`` (an open one is written
+    again later) and the list keeps only the open entries, one array at a
+    time, so that closed ones hold no memory."""
+    n = 0
+    while state[0].size:
+        n += 1
+        keep = step(n, state)
+        if not keep.all():
+            out[state[0]] = state[1]
+            for i in range(len(state)):
+                state[i] = state[i][keep]
+
+
+def _prefactor(a, x):
+    """x**a e**-x / Gamma(a) for finite x > 0, as exp(-a (mu - log(1 + mu)))
+    sqrt(a / 2 pi) / Gamma*(a) with mu = (x - a) / a, which keeps its
+    digits at large shapes (Temme 1979)."""
+    mu = x - a
+    mu /= a
+    # log(1 + mu) as log1p near a, where x - a is exact
+    out = np.empty_like(x)
+    far = mu < -0.5
+    np.log1p(mu, out=out, where=~far)
+    np.log(x, out=out, where=far)
+    np.subtract(out, math.log(a), out=out, where=far)
+    np.subtract(mu, out, out=out)
+    out *= -a
+    out += 0.5 * math.log(a) - _HALF_LOG_2PI - _log_gamma_star(a)
+    return np.exp(out, out=out)
+
+
+def _gamma_ratio(a, x, lower):
+    """Overwrite the 1-D array x, all finite and > 0 and fewer than 2**31,
+    with P(a, x) where ``lower`` holds and Q(a, x) elsewhere; return it.
+
+    The power series gives P below a + 1 and Lentz's continued fraction Q
+    above (Numerical Recipes 6.2), each started from the prefactor; the
+    other ratio is 1 minus it."""
+
+    def power_series(n, s):
+        _, total, term, v = s
+        term *= v
+        term /= a + n
+        total += term
+        return (term > _EPS * total) & (term > _TINY)
+
+    def fraction(n, s):
+        _, h, c, d, v = s
+        an, b = n * (a - n), v + (2.0 * n + 1.0 - a)
+        d *= an
+        d += b
+        np.reciprocal(d, out=d)
+        np.divide(an, c, out=c)
+        c += b
+        np.multiply(c, d, out=b)
+        h *= b
+        b -= 1.0
+        return np.abs(b, out=b) > _EPS
+
+    series = x < a + 1.0
+    # int32 positions take half the memory of the state's other arrays
+    idx = np.flatnonzero(series).astype(np.int32)
+    v = x[idx]
+    total = _prefactor(a, v)
+    total /= a
+    state = [idx, total, total.copy(), v]
+    del idx, total, v
+    _iterate(power_series, x, state)
+    idx = np.flatnonzero(~series).astype(np.int32)
+    v = x[idx]
+    d = v + (1.0 - a)
+    np.reciprocal(d, out=d)
+    h = _prefactor(a, v)
+    h *= d
+    state = [idx, h, np.full(idx.size, math.inf), d, v]
+    del idx, h, d, v
+    _iterate(fraction, x, state)
+    np.subtract(1.0, x, out=x, where=series != lower)
+    return x
+
+
+def _gamma_q(a, x):
+    """Overwrite the 1-D array x with the regularized upper incomplete
+    gamma Q(a, x), where Q(a, 0) = 1, Q(a, inf) = 0 and Q is NaN below 0."""
+    inner = (x > 0.0) & (x < math.inf)
+    if not inner.all():
+        edge = x[~inner]
+        x[~inner] = np.where(edge == 0.0, 1.0, np.where(edge > 0.0, 0.0, math.nan))
+        x[inner] = _gamma_ratio(a, x[inner], False)
+    else:
+        _gamma_ratio(a, x, False)
+    return x
+
+
+# DiDonato & Morris (1986) eq 32: the normal quantile at min(p, q)
+_DM_NUM = (0.213623493715853, 4.28342155967104, 11.6616720288968, 3.31125922108741)
+_DM_DEN = (0.3611708101884203e-1, 1.27364489782223, 6.40691597760039, 6.61053765625462, 1.0)
+
+
+def _gamma_q_guess(a, q, p):
+    """DiDonato & Morris's (1986) first approximation to the x with
+    Q(a, x) = q = 1 - p: eq 31 in the body for a > 1, and in the tails the
+    fixed points of eq 35 (P(a, x) from its series' first terms, small x)
+    and of eqs 23/33 (Q(a, x) from its asymptotic form, large x)."""
+    lb = np.log(q) + math.lgamma(a)
+    if a > 1.0:
+        t = np.sqrt(-2.0 * np.log(np.minimum(p, q)))
+        s = t - np.polyval(_DM_NUM, t) / np.polyval(_DM_DEN, t)
+        s = np.where(p < 0.5, -s, s)
+        ra = math.sqrt(a)
+        x = (a + s * ra + (s * s - 1.0) / 3.0 + (s ** 3 - 7.0 * s) / (36.0 * ra)
+             - (3.0 * s ** 4 + 7.0 * s * s - 16.0) / (810.0 * a)
+             + (9.0 * s ** 5 + 256.0 * s ** 3 - 433.0 * s) / (38880.0 * a * ra))
+        small = (p < 0.5) & (x < 0.15 * (a + 1.0))
+        large = (p >= 0.5) & (x >= 3.0 * a)
+        z, y = x[small], x[large]
+    else:
+        small = q * math.gamma(a) > 0.6 if a < 0.3 else q * math.gamma(a) >= 0.45
+        large = ~small
+        x = np.empty(q.shape)
+        z, y = 0.0, -lb[large]
+    v = np.log(p[small]) + math.lgamma(a + 1.0)
+    z = np.exp((v + z) / a)
+    for _ in range(3):
+        z = np.exp((v + z - np.log1p(z / (a + 1.0) * (1.0 + z / (a + 2.0)))) / a)
+    x[small] = z
+    for _ in range(2):
+        y = -lb[large] + (a - 1.0) * np.log(y) - np.log1p((1.0 - a) / (1.0 + y))
+    x[large] = y
+    return x
+
+
+def _gamma_q_inv(a, q):
+    """The x >= 0 with Q(a, x) = q, for an array q in [0, 1].
+
+    From DiDonato & Morris's first approximation, Halley steps on
+    Q(a, x) - q (on P(a, x) - p where q > 1/2, so that the residual keeps
+    its digits) run until a step is below 4 ulps of x or the residual is
+    within rounding of the ratio.  A step that would leave the bracket
+    the residuals have set is replaced by bisection."""
+    q = np.asarray(q, dtype=float)
+    out = np.where(q == 0.0, math.inf, np.where(q == 1.0, 0.0, math.nan))
+    inner = np.flatnonzero((q > 0.0) & (q < 1.0))
+    q = q.reshape(-1)[inner]
+    lower = q > 0.5
+    target = np.where(lower, 1.0 - q, q)
+    x = _gamma_q_guess(a, q, 1.0 - q)
+    x = np.where(x > 0.0, x, a)
+
+    def halley(n, s):
+        _, x, lo, hi, target, lower = s
+        ratio, pref = _gamma_ratio(a, x.copy(), lower), _prefactor(a, x)
+        f = np.where(lower, target - ratio, ratio - target)
+        np.copyto(lo, x, where=f > 0.0)
+        np.copyto(hi, x, where=f < 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f * x / pref
+            bend = 1.0 + 0.5 * newton * ((a - 1.0) / x - 1.0)
+            new = x + np.where(bend > 0.5, newton / bend, newton)
+        bisect = ~((new > lo) & (new < hi) | (new == x))
+        new[bisect] = np.where(hi < math.inf, 0.5 * (lo + hi), 2.0 * x)[bisect]
+        keep = ((np.abs(new - x) > 4.0 * _EPS * new)
+                & ((np.abs(f) > 4.0 * _EPS * ratio) | bisect) & (n < 100))
+        x[:] = new
+        return keep
+
+    flat = out.reshape(-1)
+    _iterate(halley, flat, [inner, x, np.zeros(x.size), np.full(x.size, math.inf),
+                            target, lower])
+    return out
+
+
+def _blockwise(fn, x):
+    """Call ``fn(block, out)`` on the flattened x a block of ``_BLOCK``
+    values at a time, ``out`` the block's slice of the result for ``fn`` to
+    fill, so that the temporaries stay block-sized on a sample of any size."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, src.size, _BLOCK):
+        fn(src[lo:lo + _BLOCK], dst[lo:lo + _BLOCK])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # density handles
 
 class _Density:
@@ -197,9 +411,8 @@ def _check_q(q):
 class GaussianDensity(_Density):
     """Normal wealth distribution arising when only labor income is risky.
 
-    Its cdf and quantile import ``scipy.special`` themselves, so runs
-    with other targets never load it.
-    """
+    Its cdf is ndtr(z) = Q(1/2, z**2/2) / 2 below the mean, mirrored above
+    it, and its quantile inverts that."""
 
     def __init__(self, mean, variance):
         if variance <= 0.0:
@@ -212,13 +425,24 @@ class GaussianDensity(_Density):
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
+    def _cdf(self, x, out):
+        np.subtract(x, self.mean, out=out)
+        out /= self.sd
+        above = out >= 0.0
+        out *= out
+        out *= 0.5
+        _gamma_q(0.5, out)
+        out *= 0.5
+        np.subtract(1.0, out, out=out, where=above)
+
     def cdf(self, x):
-        from scipy.special import ndtr
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sd)
+        return _blockwise(self._cdf, x)
 
     def quantile(self, q):
-        from scipy.special import ndtri
-        return self.mean + self.sd * ndtri(_check_q(q))
+        arr = _check_q(q)
+        # 1 - q is exact above 1/2
+        z = np.sqrt(2.0 * _gamma_q_inv(0.5, 2.0 * np.minimum(arr, 1.0 - arr)))
+        return self.mean + self.sd * np.where(arr < 0.5, -z, z)
 
 
 class InverseGammaDensity(_Density):
@@ -226,10 +450,9 @@ class InverseGammaDensity(_Density):
     of ``y = x - shift`` on x > shift.  The tail exponent equals
     ``shape``; the mean is ``shift + rate / (shape - 1)`` when shape > 1
     and the variance ``rate**2 / ((shape - 1)**2 * (shape - 2))`` when
-    shape > 2.  Like the Gaussian, it imports ``scipy.special`` itself."""
+    shape > 2.  The cdf is Q(shape, rate / y)."""
 
     def __init__(self, shape, rate, shift=0.0):
-        from scipy.special import gammaln
         if shape <= 0.0 or rate <= 0.0:
             raise DomainError(f"shape and rate must be positive, got {shape}, {rate}")
         self.shape = float(shape)
@@ -241,7 +464,7 @@ class InverseGammaDensity(_Density):
             self.mean = self.shift + self.rate / (self.shape - 1.0)
         if shape > 2.0:
             self.variance = self.rate ** 2 / ((self.shape - 1.0) ** 2 * (self.shape - 2.0))
-        self._log_norm = shape * math.log(rate) - gammaln(shape)
+        self._log_norm = shape * math.log(rate) - math.lgamma(shape)
 
     def log_pdf(self, x):
         arr = np.asarray(x, dtype=float) - self.shift
@@ -252,15 +475,19 @@ class InverseGammaDensity(_Density):
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    def _cdf(self, x, out):
+        np.subtract(x, self.shift, out=out)
+        outside = ~(out > 0.0)
+        out[outside] = 1.0
+        np.divide(self.rate, out, out=out)
+        _gamma_q(self.shape, out)
+        out[outside] = 0.0
+
     def cdf(self, x):
-        from scipy.special import gammaincc
-        arr = np.asarray(x, dtype=float) - self.shift
-        safe = np.where(arr > 0.0, arr, 1.0)
-        return np.where(arr > 0.0, gammaincc(self.shape, self.rate / safe), 0.0)
+        return _blockwise(self._cdf, x)
 
     def quantile(self, q):
-        from scipy.special import gammainccinv
-        return self.rate / gammainccinv(self.shape, _check_q(q)) + self.shift
+        return self.rate / _gamma_q_inv(self.shape, _check_q(q)) + self.shift
 
 
 class PointMassDensity(_Density):
@@ -307,9 +534,6 @@ def _cumulative_exp_integral(log_fn, grid):
     pieces = half * (np.exp(logv - shift) @ _GL_WEIGHTS)
     cum = np.concatenate([[0.0], np.cumsum(pieces)])
     return cum, shift
-
-
-_BLOCK = 1 << 14  # values per cdf block of a Pearson IV
 
 
 class PearsonType4Density(_Density):
@@ -431,19 +655,15 @@ class PearsonType4Density(_Density):
             out += c[k]
         return out
 
-    def cdf(self, x):
+    def _cdf(self, x, out):
         grid = self._grid
-        t = np.clip(self._angle(np.asarray(x, dtype=float)), grid[0], grid[-1])
-        u = t.reshape(-1)
-        out = np.empty(t.shape)
-        flat = out.reshape(-1)
-        # blocks keep the temporaries small on samples of any size
-        for lo in range(0, u.size, _BLOCK):
-            v = u[lo:lo + _BLOCK]
-            k = np.searchsorted(grid, v, side="right") - 1
-            np.clip(k, 0, grid.size - 2, out=k)
-            flat[lo:lo + _BLOCK] = self._hermite(k, v)
-        return np.clip(out, 0.0, 1.0)
+        t = np.clip(self._angle(x), grid[0], grid[-1])
+        k = np.searchsorted(grid, t, side="right") - 1
+        np.clip(k, 0, grid.size - 2, out=k)
+        np.clip(self._hermite(k, t), 0.0, 1.0, out=out)
+
+    def cdf(self, x):
+        return _blockwise(self._cdf, x)
 
     def quantile(self, q):
         arr = _check_q(q)

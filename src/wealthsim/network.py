@@ -7,6 +7,10 @@ sizes and its full sides are read off them, so a saved network loads
 back as the network that was built.  Portfolio overlaps between
 households decide how correlated their incomes are and therefore how
 much risk survives aggregation.
+
+``scipy.sparse`` loads with the first network built, loaded or stacked
+(and with the parse of a config's ``[network]`` section), so a run
+without a network never imports scipy.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, NetworkBuildError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "AllocationNetwork",
@@ -103,6 +110,8 @@ class AllocationNetwork:
         flows.  ``simulate._flow_rows``, which writes every firm flow, uses
         it only when neither side is in ``full_sides``.
         """
+        import scipy.sparse as sp
+
         return sp.vstack([self.invest, self.labor], format="csr")
 
     def overlap_means(self) -> tuple[float, float, float]:
@@ -185,6 +194,8 @@ def _balanced_rows(n_rows, n_firms, spread, rng):
 
 
 def _rows_to_csr(rows, n_firms, weight):
+    import scipy.sparse as sp
+
     n_rows, spread = rows.shape
     indptr = np.arange(0, n_rows * spread + 1, spread)
     order = np.argsort(rows, axis=1, kind="stable")
@@ -221,6 +232,8 @@ def build_heterogeneous(n_households, n_firms, invest_spreads, labor_spreads, se
     loads are random, so aggregate guarantees of the regular builder do
     not apply.
     """
+    import scipy.sparse as sp
+
     inv = np.asarray(invest_spreads, dtype=np.int64)
     lab = np.asarray(labor_spreads, dtype=np.int64)
     for name, arr in (("invest", inv), ("labor", lab)):
@@ -270,6 +283,8 @@ def load_network(path) -> AllocationNetwork:
     whose integer fields reject non-integral indices; comment lines are
     not allowed.  Any malformed or invalid file raises NetworkBuildError.
     """
+    import scipy.sparse as sp
+
     with open(path) as fh:
         header = next((ln.strip() for ln in fh if ln.strip()), "")
         if not header:

@@ -249,6 +249,10 @@ def _parse_production(raw) -> ProductionFunction:
 def _parse_network(raw) -> dict | None:
     if raw is None:
         return None
+    # a run with a network loads scipy.sparse here, while its config is
+    # read, so that the import counts in its set-up and not in its first
+    # build or load
+    import scipy.sparse  # noqa: F401
     _reject_unknown("network", raw, {"file", *_BUILD_KEYS})
     _reject_beside("network", raw, "file", _BUILD_KEYS)
     if "file" in raw:

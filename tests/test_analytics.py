@@ -14,12 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from conftest import OMEGA_STAR, P_BAR_STAR, RHO_INF, RHO_STAR
 from wealthsim import (
     EconomyParams,
     CES,
+    ks_distance,
     load_config,
     relative_wealth_density,
     stationary_density,
@@ -29,6 +32,8 @@ from wealthsim.analytics import (
     InverseGammaDensity,
     PearsonType4Density,
     PointMassDensity,
+    _gamma_q,
+    _gamma_q_inv,
     _growth_coeffs,
     log_log_slope,
     mean_field_coeffs,
@@ -174,6 +179,61 @@ def test_shifted_inverse_gamma_matches_scipy():
         assert d.support == (shift, math.inf)
         assert d.mean == (pytest.approx(ref.mean(), rel=1e-12) if shape > 1.0 else None)
         assert d.variance == (pytest.approx(ref.var(), rel=1e-12) if shape > 2.0 else None)
+
+
+# the shipped inverse-gamma and Gaussian shapes and, at 26389.9, the
+# target of complete_markets.ini run as IncompleteMarkets
+@pytest.mark.parametrize("a", [0.5, 0.8, 1.5, 2.508, 4.114, 38.7, 76.4, 26389.9])
+def test_incomplete_gamma_matches_scipy(a):
+    x = np.geomspace(1e-3 * a, 1e3 * a, 601)
+    got, ref = _gamma_q(a, x.copy()), scipy.special.gammaincc(a, x)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=6e-15)
+    # in the tails the relative error grows like Q's condition number |x - a|
+    live = ref > 1e-300
+    assert np.all(np.abs(got - ref)[live] <= 3e-14 * (1.0 + np.abs(x - a)[live]) * ref[live])
+    q = np.concatenate([np.geomspace(1e-12, 0.5, 301), 1.0 - np.geomspace(1e-6, 0.5, 300)])
+    inverse = _gamma_q_inv(a, q)
+    np.testing.assert_allclose(inverse, scipy.special.gammainccinv(a, q), rtol=3e-14)
+    np.testing.assert_allclose(_gamma_q(a, inverse.copy()), q, rtol=0.0, atol=1e-14)
+    assert _gamma_q(a, np.array([0.0, np.inf, -1.0])).tolist()[:2] == [1.0, 0.0]
+    assert _gamma_q_inv(a, np.array([1.0, 0.0])).tolist() == [0.0, np.inf]
+
+
+def test_gaussian_matches_scipy_over_eight_sds():
+    d = GaussianDensity(0.0, 1.0)
+    z = np.linspace(-8.0, 8.0, 1601)
+    np.testing.assert_allclose(d.cdf(z), scipy.special.ndtr(z), rtol=2e-14)
+    q = np.concatenate([np.geomspace(1e-12, 0.5, 301), 1.0 - np.geomspace(1e-6, 0.5, 300)])
+    np.testing.assert_allclose(d.quantile(q), scipy.special.ndtri(q), rtol=1e-14, atol=1e-300)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(shape=st.floats(math.log(0.3), math.log(3e4)).map(math.exp),
+       rate=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+       shift=st.floats(-10.0, 10.0),
+       q=st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=16))
+def test_inverse_gamma_cdf_inverts_its_quantile(shape, rate, shift, q):
+    # the shift in units of the scale rate / shape: one far larger than the
+    # spread of x - shift would cancel the digits of x itself
+    d = InverseGammaDensity(shape=shape, rate=rate, shift=shift * rate / shape)
+    q = np.array(q)
+    assert np.max(np.abs(d.cdf(d.quantile(q)) - q)) <= 1e-12
+
+
+def test_inverse_gamma_cdf_takes_block_sized_memory():
+    # 402 000 sorted values, the size of staggered_wages' pooled panel: the
+    # cdf holds a few block-sized arrays beside its result, and KS against
+    # it one block of cdf values at a time
+    d = InverseGammaDensity(shape=2.507936507936507, rate=10.926190235564583, shift=-3.0)
+    x = np.sort(d.quantile(np.random.default_rng(15).uniform(size=402_000)))
+    for fn, result in ((d.cdf, x.nbytes), (lambda v: ks_distance(v, d.cdf), 0)):
+        tracemalloc.start()
+        try:
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result < 1 << 20
 
 
 def test_relative_wealth_density_unit_mean():

@@ -1,5 +1,5 @@
-"""What importing the package, and building a target, loads, and what
-the package exports."""
+"""What importing the package, reading a config and building a target
+load, and what the package exports."""
 
 import importlib
 import json
@@ -33,12 +33,16 @@ def _scipy_extras(loaded):
     return [m for m in loaded if m.startswith(UNUSED)]
 
 
-def test_import_loads_no_scipy_optimize_or_interpolate():
-    # roots and the Pearson IV cdf live in the package, and scipy.special
-    # waits for a target that calls it
+def _scipy(loaded):
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_import_loads_no_scipy():
+    # roots, the Pearson IV cdf and the incomplete gamma live in the
+    # package, and scipy.sparse waits for the first network
     loaded = _loaded_after("import wealthsim")
-    assert "wealthsim" in loaded and "scipy.sparse" in loaded
-    assert _scipy_extras(loaded) == []
+    assert "wealthsim" in loaded
+    assert _scipy(loaded) == []
 
 
 def test_pearson_target_loads_no_scipy_special():
@@ -51,12 +55,48 @@ def test_pearson_target_loads_no_scipy_special():
     assert _scipy_extras(loaded) == []
 
 
-def test_inverse_gamma_cdf_loads_scipy_special():
+def test_gamma_and_gaussian_targets_load_no_scipy():
     loaded = _loaded_after(
-        "from wealthsim import relative_wealth_density\n"
-        "relative_wealth_density(2.5).cdf([0.5, 1.0])")
-    assert "scipy.special" in loaded
-    assert [m for m in _scipy_extras(loaded) if not m.startswith("scipy.special")] == []
+        "from wealthsim import GaussianDensity, InverseGammaDensity, relative_wealth_density\n"
+        "for d in (relative_wealth_density(2.5), InverseGammaDensity(1.5, 2.0, -1.0),\n"
+        "          GaussianDensity(3.0, 0.25)):\n"
+        "    d.cdf([0.5, 1.0, 3.0]); d.quantile([0.1, 0.5, 0.9])")
+    assert _scipy(loaded) == []
+
+
+def test_network_config_loads_scipy_sparse_while_it_is_read():
+    # so a run with a network imports it in its set-up, not in its first
+    # build or load
+    loaded = _loaded_after(
+        "from wealthsim import load_config\n"
+        f"load_config({str(CONFIGS / 'incomplete_markets.ini')!r})")
+    assert "scipy.sparse" in loaded
+    assert _scipy_extras(loaded) == []
+
+
+def test_runs_without_a_network_need_no_scipy(tmp_path):
+    # a shortened endogenous_growth scenario, its regime line and the
+    # nu sweep, with every scipy import made to fail
+    summary = _printed_by(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import contextlib, io, json\n"
+        "from wealthsim import load_config, run_scenario\n"
+        "from wealthsim.cli import main\n"
+        f"cfg = load_config({str(CONFIGS / 'endogenous_growth.ini')!r}).with_raw(\n"
+        "    'simulation', t_end='50', burn_in='40', record_every='5')\n"
+        f"summary = run_scenario(cfg, out_dir={str(tmp_path / 'growth')!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['regime', '--config', {str(CONFIGS / 'endogenous_growth.ini')!r}]),\n"
+        f"             main(['sweep', '--config', {str(CONFIGS / 'nu_sweep.ini')!r},\n"
+        f"                   '--out', {str(tmp_path / 'sweep')!r}])]\n"
+        "print(json.dumps({'codes': codes, 'ks': summary['ks_distance'],\n"
+        "                  'scipy': [m for m in sys.modules if m.startswith('scipy.')]}))")
+    assert summary["codes"] == [0, 0]
+    assert 0.0 < summary["ks"] < 1.0
+    assert summary["scipy"] == []
+    assert {p.name for p in (tmp_path / "growth").iterdir()} >= {"density.csv", "summary.json"}
+    assert (tmp_path / "sweep" / "sweep.csv").stat().st_size > 0
 
 
 def test_package_exports_its_modules_lists():
