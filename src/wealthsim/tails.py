@@ -183,9 +183,11 @@ def ccdf_loglog(sample):
     if n < 2:
         raise InsufficientDataError(f"need at least 2 positive values, got {n}")
     # rank from above: ccdf at x_(i) is (n - i) / n, drop the final zero;
-    # the rows are picked before the logs are taken
+    # the rows are picked before the logs are taken.  Their spacing
+    # (n - 2) / 199 is above 1, so the rounded ranks are distinct (and
+    # np.unique, which imports numpy.ma, is not needed)
     if n - 1 > _CCDF_ROWS:
-        idx = np.unique(np.linspace(0, n - 2, _CCDF_ROWS).round().astype(int))
+        idx = np.linspace(0, n - 2, _CCDF_ROWS).round().astype(int)
     else:
         idx = np.arange(n - 1)
     return np.log(x[idx]), np.log((n - 1 - idx) / n)

@@ -91,10 +91,13 @@ def test_runs_without_a_network_need_no_scipy(tmp_path):
         f"             main(['sweep', '--config', {str(CONFIGS / 'nu_sweep.ini')!r},\n"
         f"                   '--out', {str(tmp_path / 'sweep')!r}])]\n"
         "print(json.dumps({'codes': codes, 'ks': summary['ks_distance'],\n"
-        "                  'scipy': [m for m in sys.modules if m.startswith('scipy.')]}))")
+        "                  'scipy': [m for m in sys.modules if m.startswith('scipy.')],\n"
+        "                  'numpy_ma': 'numpy.ma' in sys.modules}))")
     assert summary["codes"] == [0, 0]
     assert 0.0 < summary["ks"] < 1.0
     assert summary["scipy"] == []
+    # nor numpy.ma, which scipy's namespace clone and np.unique import
+    assert summary["numpy_ma"] is False
     assert {p.name for p in (tmp_path / "growth").iterdir()} >= {"density.csv", "summary.json"}
     assert (tmp_path / "sweep" / "sweep.csv").stat().st_size > 0
 

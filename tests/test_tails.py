@@ -152,11 +152,13 @@ def test_ccdf_loglog_by_hand():
 
 def test_ccdf_loglog_thinning():
     gen = np.random.default_rng(11)
-    x = gen.uniform(1.0, 2.0, size=5000)
-    log_x, log_ccdf = ccdf_loglog(x)
-    assert log_x.size == 200
-    assert np.all(np.diff(log_x) > 0)
-    assert np.all(np.diff(log_ccdf) < 0)
+    # 202 values: the fewest that are thinned, at rank spacing 200/199
+    for size in (5000, 202):
+        x = gen.uniform(1.0, 2.0, size=size)
+        log_x, log_ccdf = ccdf_loglog(x)
+        assert log_x.size == 200
+        assert np.all(np.diff(log_x) > 0)
+        assert np.all(np.diff(log_ccdf) < 0)
 
 
 def test_ccdf_table_file(tmp_path):
