@@ -536,6 +536,14 @@ def _cumulative_exp_integral(log_fn, grid):
     return cum, shift
 
 
+def _sorted_distinct(values):
+    """``np.unique(values)`` for a float array, without the ``numpy.ma``
+    import that ``np.unique`` makes: the same sort, then the first of each
+    run of equal neighbours."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
 class PearsonType4Density(_Density):
     """Stationary density of an affine-drift diffusion whose noise
     variance is a positive quadratic in wealth.
@@ -608,7 +616,7 @@ class PearsonType4Density(_Density):
         h = base[1] - base[0]
         pieces.append(np.linspace(-half_pi, -half_pi + h, 513))
         pieces.append(np.linspace(half_pi - h, half_pi, 513))
-        grid = np.unique(np.concatenate(pieces))
+        grid = _sorted_distinct(np.concatenate(pieces))
         cum, shift = _cumulative_exp_integral(self._log_core, grid)
         total = cum[-1]
         if not np.isfinite(total) or total <= 0.0:

@@ -66,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, NetworkBuildError
-from .network import AllocationNetwork, build_regular, load_network
+from .network import AllocationNetwork, _csr_kernels, build_regular, load_network
 from .params import CES, CobbDouglas, EconomyParams, ProductionFunction
 from .simulate import SimulationConfig
 
@@ -249,10 +249,10 @@ def _parse_production(raw) -> ProductionFunction:
 def _parse_network(raw) -> dict | None:
     if raw is None:
         return None
-    # a run with a network loads scipy.sparse here, while its config is
-    # read, so that the import counts in its set-up and not in its first
-    # build or load
-    import scipy.sparse  # noqa: F401
+    # a run with a network loads scipy's compiled CSR kernels here, while
+    # its config is read, so that the load counts in its set-up and not in
+    # its first step; scipy.sparse itself is never imported
+    _csr_kernels()
     _reject_unknown("network", raw, {"file", *_BUILD_KEYS})
     _reject_beside("network", raw, "file", _BUILD_KEYS)
     if "file" in raw:

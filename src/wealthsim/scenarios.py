@@ -29,7 +29,7 @@ from .analytics import (
     write_density_table,
 )
 from .errors import ConfigError, WealthsimError
-from .network import build_regular
+from .network import _row_sums, build_regular
 from .params import validate_params
 from .runconfig import RunConfig
 from .simulate import (
@@ -295,8 +295,8 @@ def validate_checks(cfg: RunConfig) -> list[dict]:
         if cfg.network_spec is None:
             return "no network configured"
         net = cfg.build_network()
-        rows_i = np.abs(np.asarray(net.invest.sum(axis=1)).ravel() - 1.0).max()
-        rows_l = np.abs(np.asarray(net.labor.sum(axis=1)).ravel() - 1.0).max()
+        rows_i, rows_l = (np.abs(_row_sums(m.indptr, m.data) - 1.0).max()
+                          for m in (net.invest, net.labor))
         ok = rows_i < 1e-9 and rows_l < 1e-9
         return (ok, f"row-sum deviations invest {rows_i:.2e}, labor {rows_l:.2e}")
 

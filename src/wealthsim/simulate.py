@@ -44,7 +44,7 @@ from .errors import (
     WealthsimError,
 )
 from .market import clear
-from .network import AllocationNetwork
+from .network import AllocationNetwork, _csr_kernels
 from .params import EconomyParams, ProductionFunction
 
 __all__ = [
@@ -192,20 +192,31 @@ def _flow_rows(net, shocks, labor, rows):
     labor.  On a side in the measured ``net.full_sides`` every household
     sees the firm mean, which costs O(F) instead of O(N*F); the sparse
     sides take one product, over the stacked rows ``net.flow_rows`` when
-    both are sparse, or the plain matrix-vector product of a single
-    draw.  Row k depends only on draw k, not on the block it is in.
+    both are sparse: ``csr_matvec`` straight into the row for a single
+    draw, ``csr_matvecs`` over a C-contiguous (F, K) copy of a block, the
+    kernels and summation order of ``csr_matrix @ x``.  Row k depends only
+    on draw k, not on the block it is in.
     """
-    n = net.n_households
+    n, k = net.n_households, len(shocks)
     sides = ("invest", "labor") if labor else ("invest",)
     sparse = [side for side in sides if side not in net.full_sides]
     for i, side in enumerate(sides):
         if side in net.full_sides:
             rows[:, i * n:(i + 1) * n] = shocks.mean(axis=1)[:, None]
     if sparse:
-        matrix = net.flow_rows if len(sparse) == 2 else getattr(net, sparse[0])
-        first = n * sides.index(sparse[0])
-        rows[:, first:first + len(sparse) * n] = \
-            (matrix @ (shocks.T if len(shocks) > 1 else shocks[0])).T
+        m = net.flow_rows if len(sparse) == 2 else getattr(net, sparse[0])
+        (height, width), first = m.shape, n * sides.index(sparse[0])
+        if k == 1:
+            # the kernel adds to its output, which starts at zero as scipy's does
+            out = rows[0, first:first + height]
+            out[:] = 0.0
+            _csr_kernels().csr_matvec(height, width, m.indptr, m.indices, m.data,
+                                      shocks[0], out)
+        else:
+            out = np.zeros((height, k))
+            _csr_kernels().csr_matvecs(height, width, k, m.indptr, m.indices, m.data,
+                                       shocks.T.ravel(), out.ravel())
+            rows[:, first:first + height] = out.T
     if labor:
         rows[:, 2 * n] = rows[:, n:2 * n].sum(axis=1)
 
@@ -265,6 +276,8 @@ def step_absolute(state, params: EconomyParams, net: AllocationNetwork,
     p, prices = _frozen_state(params, net, pf, state)
     shocks = np.full(net.n_firms, params.a * dt) if shocks is None \
         else np.asarray(shocks, dtype=float)
+    if shocks.shape != (net.n_firms,):
+        raise DomainError(f"shock vector must have length {net.n_firms}")
     n, labor = net.n_households, not labor_deterministic
     rows = np.empty((1, 2 * n + 1 if labor else n))
     _flow_rows(net, shocks[None], labor, rows)

@@ -39,7 +39,7 @@ def _scipy(loaded):
 
 def test_import_loads_no_scipy():
     # roots, the Pearson IV cdf and the incomplete gamma live in the
-    # package, and scipy.sparse waits for the first network
+    # package, and the CSR kernels wait for the first network config
     loaded = _loaded_after("import wealthsim")
     assert "wealthsim" in loaded
     assert _scipy(loaded) == []
@@ -64,14 +64,67 @@ def test_gamma_and_gaussian_targets_load_no_scipy():
     assert _scipy(loaded) == []
 
 
-def test_network_config_loads_scipy_sparse_while_it_is_read():
-    # so a run with a network imports it in its set-up, not in its first
-    # build or load
-    loaded = _loaded_after(
-        "from wealthsim import load_config\n"
-        f"load_config({str(CONFIGS / 'incomplete_markets.ini')!r})")
-    assert "scipy.sparse" in loaded
-    assert _scipy_extras(loaded) == []
+# what scipy's array-API namespace clone pulls in, and scipy.sparse itself
+NAMESPACE_CLONE = ("scipy.sparse", "numpy.ma", "numpy.f2py", "numpy.testing")
+
+
+def test_network_runs_load_the_csr_kernels_and_no_scipy_sparse(tmp_path):
+    # reading a network config loads the compiled kernels, so the load
+    # counts in set-up; a shortened flagship run, its checks and its
+    # regime line then load none of scipy.sparse's baggage
+    config = str(CONFIGS / "incomplete_markets.ini")
+    loaded = _printed_by(
+        "import contextlib, io, json, sys\n"
+        "from wealthsim import load_config, run_scenario\n"
+        "from wealthsim.cli import main\n"
+        "from wealthsim.scenarios import validate_checks\n"
+        f"cfg = load_config({config!r})\n"
+        "after_load = sorted(sys.modules)\n"
+        "short = cfg.with_raw('simulation', t_end='40', burn_in='20', record_every='5')\n"
+        f"run_scenario(short, out_dir={str(tmp_path / 'run')!r})\n"
+        "validate_checks(cfg)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['regime', '--config', {config!r}])\n"
+        "print(json.dumps({'after_load': after_load, 'after_run': sorted(sys.modules),\n"
+        "                  'code': code}))")
+    assert "wealthsim._sparsetools" in loaded["after_load"]
+    assert loaded["code"] == 0
+    assert _scipy(loaded["after_run"]) == []
+    assert [m for m in loaded["after_run"]
+            if any(m == p or m.startswith(p + ".") for p in NAMESPACE_CLONE)] == []
+    assert (tmp_path / "run" / "panel.csv").stat().st_size > 0
+
+
+def test_scipy_sparse_imports_after_the_kernels_and_gives_their_products():
+    # the kernels loaded by path first, then the real package, which loads
+    # its own copy of the extension
+    same = _printed_by(
+        "import json\n"
+        "import numpy as np\n"
+        "from wealthsim import build_regular\n"
+        "from wealthsim.simulate import _flow_rows, _stream\n"
+        "net = build_regular(60, 30, 3, 5, seed=4)\n"
+        "draws = _stream(2, 0).standard_normal((4, 30))\n"
+        "rows = np.empty((4, 121))\n"
+        "_flow_rows(net, draws, True, rows)\n"
+        "import scipy.sparse as sp\n"
+        "m = sp.csr_matrix((net.flow_rows.data, net.flow_rows.indices, net.flow_rows.indptr),\n"
+        "                  shape=net.flow_rows.shape)\n"
+        "print(json.dumps([bool(np.array_equal(rows[:, :120], (m @ draws.T).T)),\n"
+        "                  bool(np.array_equal(rows[0, :120], m @ draws[0]))]))")
+    assert same == [True, True]
+
+
+def test_a_network_without_scipy_names_what_it_searched():
+    message = _printed_by(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from wealthsim.network import _csr_kernels\n"
+        "try:\n"
+        "    _csr_kernels()\n"
+        "except ImportError as exc:\n"
+        "    print(json.dumps(str(exc)))")
+    assert "scipy" in message and "searched" in message
 
 
 def test_runs_without_a_network_need_no_scipy(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from wealthsim import build_heterogeneous, build_regular, load_network, save_network
 from wealthsim.errors import DomainError, NetworkBuildError
-from wealthsim.network import AllocationNetwork
+from wealthsim.network import AllocationNetwork, CSRMatrix
 
 
 def test_regular_network_is_balanced():
@@ -48,13 +48,19 @@ def test_overlap_statistics():
     assert cross.max() <= 0.25 + 1e-15
 
 
+def _same(a, b):
+    """Equal CSR matrices: the same shape and stored arrays."""
+    return a.shape == b.shape and all(np.array_equal(getattr(a, name), getattr(b, name))
+                                      for name in ("indptr", "indices", "data"))
+
+
 def test_same_seed_reproduces_network():
     a = build_regular(30, 10, 3, 5, seed=9)
     b = build_regular(30, 10, 3, 5, seed=9)
-    assert (a.invest != b.invest).nnz == 0
-    assert (a.labor != b.labor).nnz == 0
+    assert _same(a.invest, b.invest)
+    assert _same(a.labor, b.labor)
     c = build_regular(30, 10, 3, 5, seed=10)
-    assert (a.invest != c.invest).nnz > 0
+    assert not _same(a.invest, c.invest)
 
 
 def test_unbalanceable_spread_rejected():
@@ -97,8 +103,8 @@ def test_save_load_round_trip(tmp_path):
     save_network(net, path)
     back = load_network(path)
     assert back.n_households == 20 and back.n_firms == 10
-    assert (back.invest != net.invest).nnz == 0
-    assert (back.labor != net.labor).nnz == 0
+    assert _same(back.invest, net.invest)
+    assert _same(back.labor, net.labor)
 
 
 # Each loads a 1-household, 2-firm network whose one valid form is
@@ -181,6 +187,20 @@ def test_network_validation():
     # the counts are read off the matrices and cannot be declared beside them
     with pytest.raises(TypeError):
         AllocationNetwork(ok, ok, n_households=2)
+    # a record the compiled kernels would index out of bounds with is refused
+    good = CSRMatrix(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), np.full(4, 0.5), (2, 2))
+    assert AllocationNetwork(good, ok).full_sides == {"invest", "labor"}
+    for indptr, indices, data in (
+            ([0, 2, 4], [0, 2, 0, 1], np.full(4, 0.5)),    # column 2 of 2
+            ([0, 2, 4], [0, -1, 0, 1], np.full(4, 0.5)),   # negative column
+            ([0, 2, 4, 4], [0, 1, 0, 1], np.full(4, 0.5)),  # three rows of pointers
+            ([0, 2, 5], [0, 1, 0, 1], np.full(4, 0.5)),    # more entries than stored
+            ([0, 3, 2], [0, 1], [1.0, 1.0]),               # pointers fall back
+            ([0, 2, 4], [0, 1, 0, 1], np.full(3, 0.5)),    # a weight short
+            ([0, 2, 4], [0.0, 1.0, 0.0, 1.0], np.full(4, 0.5))):  # float columns
+        bad = CSRMatrix(np.array(indptr), np.array(indices), np.asarray(data), (2, 2))
+        with pytest.raises(DomainError, match="CSR structure"):
+            AllocationNetwork(good, bad)
 
 
 def test_full_sides_are_measured_on_the_matrices():

@@ -177,6 +177,10 @@ def test_step_rejects_bad_state():
         step_absolute([1.0, 2.0], params, net, pf, None, 0.1)
     with pytest.raises(PriceUndefinedError):
         step_absolute([-2.0, 1.0, 0.0, 0.5], params, net, pf, None, 0.1)
+    # the compiled flow kernel reads one shock per firm, unchecked
+    for shocks in ([0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]):
+        with pytest.raises(DomainError, match="shock vector"):
+            step_absolute([1.0, 2.0, 3.0, 4.0], params, net, pf, shocks, 0.1)
 
 
 def _flows(net, shocks, labor):
@@ -207,8 +211,8 @@ def test_increment_shortcuts_match_general_path():
         for shocks in (block[:1], block, np.full((1, f), params.a * dt)):
             rows = _flows(net, shocks, True)
             cap, lab = rows[:, :n], rows[:, n:2 * n]
-            np.testing.assert_allclose(cap, (net.invest @ shocks.T).T, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(lab, (net.labor @ shocks.T).T, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cap, shocks @ net.invest.toarray().T, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(lab, shocks @ net.labor.toarray().T, rtol=1e-12, atol=0.0)
             cap_only = _flows(net, shocks, False)
             np.testing.assert_allclose(cap_only, cap, rtol=1e-12, atol=0.0)
             assert cap_only.shape == (len(shocks), n)
