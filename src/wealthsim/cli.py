@@ -48,8 +48,9 @@ _FLAGS = {
     "out": dict(help="output directory (default from [outputs], else stdout only)"),
     "seed": dict(type=int, help="override the simulation seed"),
     "format": dict(choices=("csv", "json"), help="override the [outputs] format"),
-    "threads": dict(type=int, help="most noise worker processes a long simulation forks "
-                                   "(default 2); results do not depend on it"),
+    "threads": dict(type=int, help="most processes a simulation keeps busy: noise workers "
+                                   "while stepping, then panel.csv writers (default 2); "
+                                   "results do not depend on it"),
 }
 
 

@@ -131,9 +131,12 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     then ``summary.json`` and, in csv mode, plot-ready density and tail
     tables.  The panel is consumed: once its moments and mean path are
     taken and ``panel.csv`` is written, its own pooled buffer is sorted
-    in place for KS, Hill and ``ccdf.csv``.  ``threads`` caps the forked
-    noise workers (None: the default of two); the results do not depend
-    on it.
+    in place for KS, Hill and ``ccdf.csv``.  ``threads`` caps every
+    process the run forks (None: the default of two): first the noise
+    workers while stepping, then the ``panel.csv`` writers, each capped
+    again by the usable cores.  The outputs do not depend on it; the
+    summary's ``counters`` say how many of each ran, ``panel_writers``
+    being 0 when no ``panel.csv`` was written.
     """
     if cfg.scenario.name is None:
         raise ConfigError("config has no [scenario] section")
@@ -153,8 +156,8 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads: int | None = None) -> di
     mean_path = panel.mean_path()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    if tables:
-        panel.to_csv(os.path.join(out_dir, "panel.csv"))
+    panel.counters["panel_writers"] = \
+        panel.to_csv(os.path.join(out_dir, "panel.csv"), threads) if tables else 0
     if measured:
         pooled.sort()
 

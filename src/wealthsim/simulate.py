@@ -94,7 +94,9 @@ class SimulationConfig:
                 max(1, int(round(self.record_every / self.dt))))
 
 
-_CSV_BLOCK = 2048  # panel.csv rows formatted per write
+_CSV_BLOCK = 2048        # panel.csv rows formatted per write
+CSV_MIN_ROWS = 100_000   # fewest panel.csv rows that pay for one more writer process
+_CSV_COPY = 1 << 18      # bytes per read when a helper's rows are appended
 
 
 @dataclass(frozen=True)
@@ -122,21 +124,93 @@ class WealthPanel:
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
-    def to_csv(self, path):
-        """Long-form CSV ``t,household_id,wealth`` at full precision."""
+    def to_csv(self, path, threads: int | None = None) -> int:
+        """Long-form CSV ``t,household_id,wealth`` at full precision;
+        returns the number of writer processes.
+
+        Contiguous snapshot ranges go to ``_process_cap(threads, snapshots,
+        rows // CSV_MIN_ROWS)`` writers, or one: this process writes the
+        header and the first, forked helpers the others into unlinked
+        files, appended in order once each has exited 0.  The bytes do not
+        depend on the count.  Any error kills and reaps every helper; a
+        failed one raises ``WealthsimError`` naming its range.
+        """
+        n = len(self.times)
+        writers = max(1, _process_cap(threads, n, self.snapshots.size // max(1, CSV_MIN_ROWS))
+                      if hasattr(os, "fork") else 1)
+        cuts = [n * w // writers for w in range(writers + 1)]
+        helpers = []  # [pid (0 once reaped), rows fd, message fd, lo, hi]
         with open(path, "w") as fh:
             fh.write("t,household_id,wealth\n")
-            # a bounded block of rows per write keeps the formatted text
-            # small whatever the number of households; the time prefix is
-            # formatted once per snapshot and one % formats a whole block
-            for t, snap in zip(self.times.tolist(), self.snapshots):
-                row = "%.17g" % t + ",%d,%.17g\n"
-                for lo in range(0, snap.size, _CSV_BLOCK):
-                    block = snap[lo:lo + _CSV_BLOCK].tolist()
-                    fields = [None] * (2 * len(block))
-                    fields[::2] = range(lo, lo + len(block))
-                    fields[1::2] = block
-                    fh.write(row * len(block) % tuple(fields))
+            fh.flush()  # a helper must not inherit unwritten text
+            try:
+                for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                    helpers.append([0, -1, -1, lo, hi])
+                    self._fork_writer(helpers[-1], path)
+                self._write_rows(fh, 0, cuts[1])
+                fh.flush()
+                for helper in helpers:
+                    pid, rows, message, lo, hi = helper
+                    status = os.waitpid(pid, 0)[1]
+                    helper[0] = 0
+                    if status:
+                        why = " ".join(os.read(message, 4096).decode(errors="replace").split()) \
+                            or f"exit status {os.waitstatus_to_exitcode(status)}"
+                        raise WealthsimError(
+                            f"panel.csv writer failed on snapshots {lo}-{hi - 1}: {why}")
+                    _append(fh.fileno(), rows)
+            finally:
+                for pid, *fds, _, _ in helpers:
+                    if pid:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                    for fd in fds:
+                        if fd >= 0:
+                            os.close(fd)
+        return writers
+
+    def _write_rows(self, fh, lo, hi):
+        # a bounded block of rows per write keeps the formatted text
+        # small whatever the number of households; the time prefix is
+        # formatted once per snapshot and one % formats a whole block
+        for t, snap in zip(self.times[lo:hi].tolist(), self.snapshots[lo:hi]):
+            row = "%.17g" % t + ",%d,%.17g\n"
+            for first in range(0, snap.size, _CSV_BLOCK):
+                block = snap[first:first + _CSV_BLOCK].tolist()
+                fields = [None] * (2 * len(block))
+                fields[::2] = range(first, first + len(block))
+                fields[1::2] = block
+                fh.write(row * len(block) % tuple(fields))
+
+    def _fork_writer(self, helper, path):
+        # the helper's file is unlinked before the fork, so no exit leaves
+        # it behind; a failure is one line on the message pipe and exit 1
+        lo, hi = helper[3:]
+        name = f"{path}.{os.getpid()}.{lo}.part"
+        helper[1] = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+        os.unlink(name)
+        helper[2], report = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with open(helper[1], "w", closefd=False) as part:
+                        self._write_rows(part, lo, hi)
+                    code = 0
+                except Exception as exc:
+                    os.write(report, f"{type(exc).__name__}: {exc}".encode())
+                finally:
+                    os._exit(code)
+            helper[0] = pid
+        finally:
+            os.close(report)
+
+
+def _append(dst, src):
+    size, done = os.fstat(src).st_size, 0
+    while done < size:
+        done += os.write(dst, os.pread(src, min(_CSV_COPY, size - done), done))
 
 
 _KEY = np.zeros(2, dtype=np.uint64)
@@ -239,19 +313,22 @@ def _firm_shock_increment(p, params, state, rows, dt):
         cap, lab = rows, params.a * dt
         lab_total = n * lab
     else:
-        # rows.T[2 * n] is a scalar for one draw, where rows[..., 2 * n]
-        # would be a 0-d array that costs a ufunc call per step
         cap, lab, lab_total = rows[..., :n], rows[..., n:2 * n], rows.T[2 * n]
+    capital = cap @ p
+    if rows.ndim == 1:
+        # Python floats, same bits, without a ufunc call per 0-d array
+        capital, lab_total = float(capital), float(lab_total)
     # taxed capital income sums to p @ (invest @ shocks), taxed wages to
     # the labor-weighted firm shocks; the pool is shared equally
-    pool = params.tau_k * gslope * (cap @ p) + params.tau_l * wage_unit * lab_total
+    pool = params.tau_k * gslope * capital + params.tau_l * wage_unit * lab_total
+    transfer = params.s / n * pool - params.chi * dt
     # s*((1-tau_k)*gslope*p*cap + (1-tau_l)*wage_unit*lab + pool/n) - (chi + nu*p)*dt,
     # regrouped as p*(c1*cap - nu*dt) + c2*lab + (s*pool/n - chi*dt)
     out = cap * (params.s * (1.0 - params.tau_k) * gslope)
     out -= params.nu * dt
     out *= p
     out += lab * (params.s * (1.0 - params.tau_l) * wage_unit)
-    out += (params.s / n * pool - params.chi * dt)[..., None]
+    out += transfer if rows.ndim == 1 else transfer[:, None]
     return out
 
 
@@ -379,6 +456,16 @@ def _usable_cores() -> int:
         return cores
 
 
+def _process_cap(threads, *limits) -> int:
+    """How many processes (noise workers, panel.csv writers) to use:
+    ``min(threads, _usable_cores(), *limits)``, None: ``DEFAULT_THREADS``."""
+    if threads is None:
+        threads = DEFAULT_THREADS
+    if threads < 1:
+        raise ConfigError(f"thread count must be positive, got {threads}")
+    return min(threads, _usable_cores(), *limits)
+
+
 def _noise(ends, normals, width, make, threads, size=None):
     """Plan the noise of the step ranges ending at ``ends``: (workers, rows).
 
@@ -387,20 +474,16 @@ def _noise(ends, normals, width, make, threads, size=None):
     row per step, or one for the whole range when a slot holds one range
     (``size`` 1).  ``rows`` yields one row per range, each valid until
     the next is asked for; close it when done.  A run that draws at least
-    ``FORK_MIN_DRAWS`` normals forks ``min(threads, _usable_cores())``
-    workers (``threads`` None: ``DEFAULT_THREADS``), at most one per slot
-    of ``size`` ranges (None: one-step rows filling about ``_SLOT_BYTES``).
+    ``FORK_MIN_DRAWS`` normals forks ``_process_cap(threads)`` workers,
+    at most one per slot of ``size`` ranges (None: one-step rows filling
+    about ``_SLOT_BYTES``).
     One worker would gain nothing, so then, and below the threshold,
     ``workers`` is 0 and each range is made inline before its update.
     """
-    if threads is None:
-        threads = DEFAULT_THREADS
-    if threads < 1:
-        raise ConfigError(f"thread count must be positive, got {threads}")
     if size is None:
         size = max(1, _SLOT_BYTES // (8 * width))
     n_blocks = -(-len(ends) // size)
-    workers = min(threads, _usable_cores(), n_blocks)
+    workers = _process_cap(threads, n_blocks)
     if workers < 2 or ends[-1] * normals < FORK_MIN_DRAWS or not hasattr(os, "fork"):
         return 0, _inline_rows(ends, width, make)
 

@@ -326,3 +326,78 @@ def test_usable_cores_follow_the_cpu_quota(monkeypatch):
     assert quota(f"{150000 * affinity} 100000\n") == affinity
     if affinity > 1:
         assert quota("150000 100000\n") == 1
+
+
+@pytest.fixture
+def any_writers(always_fork, monkeypatch):
+    """panel.csv split over up to eight writers, however small the panel."""
+    monkeypatch.setattr(simulate, "CSV_MIN_ROWS", 0)
+
+
+def _panel(snapshots, households=7):
+    values = _stream(6, 1).standard_normal((snapshots, households)) * 10.0 ** np.arange(households)
+    return simulate.WealthPanel(times=0.1 * np.arange(snapshots), snapshots=values)
+
+
+@pytest.mark.parametrize("snapshots", [1, 3, 11])
+def test_panel_csv_does_not_depend_on_writers(any_writers, tmp_path, snapshots):
+    panel, files = _panel(snapshots), {}
+    for threads in (1, 2, 3, 4):
+        path = tmp_path / f"panel{threads}.csv"
+        assert panel.to_csv(path, threads) == min(threads, snapshots)
+        _assert_no_children()
+        files[threads] = path.read_bytes()
+    assert files[1] == files[2] == files[3] == files[4]
+    assert files[1].count(b"\n") == 1 + panel.snapshots.size
+    assert sorted(os.listdir(tmp_path)) == [f"panel{t}.csv" for t in (1, 2, 3, 4)]
+
+
+def _failing_writer(monkeypatch, bad_lo):
+    write = simulate.WealthPanel._write_rows
+
+    def failing(self, fh, lo, hi):
+        if lo == bad_lo:
+            raise RuntimeError("disk lost")
+        write(self, fh, lo, hi)
+
+    monkeypatch.setattr(simulate.WealthPanel, "_write_rows", failing)
+
+
+def test_failing_writer_is_reported_and_leaves_nothing(any_writers, monkeypatch, tmp_path):
+    _failing_writer(monkeypatch, 5)
+    with pytest.raises(WealthsimError,
+                       match="writer failed on snapshots 5-7: RuntimeError: disk lost"):
+        _panel(11).to_csv(tmp_path / "panel.csv", 4)
+    _assert_no_children()
+    assert os.listdir(tmp_path) == ["panel.csv"]
+
+
+def test_parent_error_reaps_every_writer(any_writers, monkeypatch, tmp_path):
+    # the first range is the calling process's own: its failure kills the helpers
+    _failing_writer(monkeypatch, 0)
+    with pytest.raises(RuntimeError, match="disk lost"):
+        _panel(11).to_csv(tmp_path / "panel.csv", 4)
+    _assert_no_children()
+    assert os.listdir(tmp_path) == ["panel.csv"]
+
+
+def test_summary_counts_panel_writers(any_writers, tmp_path):
+    cfg = load_config(_short_config(tmp_path, "staggered_wages"))
+    assert run_scenario(cfg, out_dir=str(tmp_path / "csv"), threads=3)[
+        "counters"]["panel_writers"] == 3
+    _assert_no_children()
+    assert run_scenario(cfg.with_raw("outputs", format="json"), out_dir=str(tmp_path / "json"),
+                        threads=3)["counters"]["panel_writers"] == 0
+    assert run_scenario(cfg, threads=3)["counters"]["panel_writers"] == 0
+
+
+def test_cli_exits_1_when_a_writer_fails(any_writers, monkeypatch, tmp_path, capsys):
+    _failing_writer(monkeypatch, 2)  # five snapshots: the helper writes 2-4
+    cfg = _short_config(tmp_path, "staggered_wages")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--threads", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "panel.csv writer failed on snapshots" in err and "disk lost" in err
+    _assert_no_children()
+    assert os.listdir(out) == ["panel.csv"]
